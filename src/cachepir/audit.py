@@ -10,6 +10,10 @@ permutation the raw indices are exchangeable, so the signature is the
 permutation-invariant statistic a database could actually act on.  Signatures
 are compared exactly (full enumeration of the randomness space, tiny
 instances only) or statistically (Monte-Carlo total-variation estimate).
+Both walk the same space through one path: one permutation per message,
+whose head is the cache and whose order is the consumption order, fed to
+`corner_equations`; no plan is built and the query shuffle is skipped,
+since the signature cannot see it.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
@@ -25,10 +29,17 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .bounds import Params, binom, corner_download_total, corner_message_length, outer_bound
-from .protocol import CacheState, DecodeError, Transcript, decode
+from .bounds import (
+    Params,
+    binom,
+    corner_download_total,
+    corner_message_length,
+    corner_ratio,
+    outer_bound,
+)
+from .protocol import DecodeError, Transcript, decode
 from .rng import derive_rng
-from .scheme import QueryPlan, build_corner_plan, corner_equations
+from .scheme import QueryPlan, corner_equations
 
 __all__ = [
     "Signature",
@@ -187,6 +198,32 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     )
 
 
+def _corner_signatures(p: Params, s: int, theta: int, perms, mutation=None) -> list:
+    """Per-database signatures of corner s with message m's bits laid out by perms[m].
+
+    perms[m][:cached] is message m's cache in mixture-consumption order and
+    the rest its fresh order.  `mutation`, when given, first sees the
+    unshuffled equations wrapped in a one-block QueryPlan.
+    """
+    cached = binom(p.k - 2, s - 1)
+    per_db = corner_equations(
+        p, s, theta, [perm[:cached] for perm in perms], [perm[cached:] for perm in perms]
+    )
+    if mutation is not None:
+        plan = QueryPlan(
+            k=p.k,
+            n=p.n,
+            length=len(perms[0]),
+            theta=theta,
+            r=corner_ratio(p, s),
+            seed=None,
+            blocks=((s, 1),),
+            per_db=tuple(tuple(eqs) for eqs in per_db),
+        )
+        per_db = mutation(plan).per_db
+    return [plan_signature(eqs) for eqs in per_db]
+
+
 def _tv_exact(a: Counter, b: Counter, total: int) -> Fraction:
     keys = set(a) | set(b)
     return Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)
@@ -203,7 +240,6 @@ def enumerate_privacy(p: Params, s: int, *, max_outcomes: int = 10**7) -> Privac
     distribution uniformly.
     """
     length = corner_message_length(p, s)
-    cached = binom(p.k - 2, s - 1)
     per_db_eqs = corner_download_total(p, s) // p.n
     outcomes = factorial(length) ** p.k * factorial(per_db_eqs) ** p.n
     if outcomes > max_outcomes:
@@ -215,11 +251,8 @@ def enumerate_privacy(p: Params, s: int, *, max_outcomes: int = 10**7) -> Privac
     dists: dict[tuple[int, int], Counter] = defaultdict(Counter)
     for theta in range(p.k):
         for perms in product(permutations(range(length)), repeat=p.k):
-            cached_order = [list(perm[:cached]) for perm in perms]
-            fresh_order = [list(perm[cached:]) for perm in perms]
-            per_db = corner_equations(p, s, theta, cached_order, fresh_order)
-            for db, eqs in enumerate(per_db):
-                dists[theta, db][plan_signature(eqs)] += 1
+            for db, sig in enumerate(_corner_signatures(p, s, theta, perms)):
+                dists[theta, db][sig] += 1
 
     total = factorial(length) ** p.k
     per_db = []
@@ -239,15 +272,6 @@ def enumerate_privacy(p: Params, s: int, *, max_outcomes: int = 10**7) -> Privac
     )
 
 
-def _indices_only_cache(length: int, per_message: list[tuple[int, ...]]) -> CacheState:
-    # Planning reads cache indices only; zero values keep the audit content-free.
-    return CacheState(
-        length=length,
-        indices=tuple(per_message),
-        values=tuple((0,) * len(idx) for idx in per_message),
-    )
-
-
 def montecarlo_privacy(
     p: Params,
     s: int,
@@ -259,31 +283,29 @@ def montecarlo_privacy(
 ) -> PrivacyReport:
     """Estimate the signature total-variation distance between two desired indices.
 
-    Samples `trials` fresh (cache, plan) pairs for desired index 0 and again
-    for index 1 and compares the empirical per-database signature
+    Draws `trials` samples of the corner-s randomness for desired index 0
+    and again for index 1 and compares the empirical per-database signature
     distributions; passes when the worst estimate stays below `threshold`
     (0.05 is a loose bound on multinomial sampling noise at 10^4 trials).
-    `mutation` hooks a plan transform in front of the statistic, which is how
-    the negative controls are exercised.
+    A sample is one uniform permutation per message, the space
+    `enumerate_privacy` walks: its head is a uniform cache, and head and
+    tail are in uniform consumption order, as `prefetch` and `compose_plans`
+    draw them.  The final query shuffle is skipped because the
+    order-invariant signature cannot see it, so the statistic has the same
+    law as over shipped plans.  `mutation` hooks a plan transform in front
+    of the statistic, which is how the negative controls are exercised.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     length = corner_message_length(p, s)
-    cached = binom(p.k - 2, s - 1)
     counters: dict[tuple[int, int], Counter] = defaultdict(Counter)
     for theta in (0, 1):
-        for trial in range(trials):
-            rng = derive_rng(seed, "mc-cache", theta, trial)
-            per_message = [
-                tuple(sorted(rng.sample(range(length), cached)))
-                for _ in range(p.k)
-            ]
-            cache = _indices_only_cache(length, per_message)
-            plan = build_corner_plan(p, s, theta, cache, f"{seed}:mc:{theta}:{trial}")
-            if mutation is not None:
-                plan = mutation(plan)
-            for db, eqs in enumerate(plan.per_db):
-                counters[theta, db][plan_signature(eqs)] += 1
+        rng = derive_rng(seed, "mc", theta)
+        for _ in range(trials):
+            perms = [rng.sample(range(length), length) for _ in range(p.k)]
+            sigs = _corner_signatures(p, s, theta, perms, mutation)
+            for db, sig in enumerate(sigs):
+                counters[theta, db][sig] += 1
 
     per_db = []
     for db in range(p.n):

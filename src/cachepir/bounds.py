@@ -126,6 +126,11 @@ def _check_s(p: Params, s: int) -> None:
         raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
 
 
+def _check_theta(k: int, theta: int) -> None:
+    if not 0 <= theta < k:
+        raise ValueError(f"theta={theta} outside [0, {k - 1}]")
+
+
 def corner_message_length(p: Params, s: int) -> int:
     """Message length L(s) that makes the corner-s scheme exact."""
     _check_s(p, s)

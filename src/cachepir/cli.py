@@ -34,8 +34,15 @@ from .bounds import (
     inner_corner,
     worst_case_gap,
 )
-from .protocol import CacheState, DecodeError, MessageStore, Transcript, retrieve
-from .rng import derive_rng
+from .protocol import (
+    CacheState,
+    DecodeError,
+    MessageStore,
+    Transcript,
+    prefetch,
+    random_store,
+    retrieve,
+)
 from .scheme import QueryPlan, build_corner_plan
 
 CURVE_HEADER = (
@@ -274,18 +281,8 @@ def cmd_simulate(args) -> int:
 
 
 def _plan_for_audit(p: Params, s: int, seed) -> QueryPlan:
-    length = corner_message_length(p, s)
-    cached = binom(p.k - 2, s - 1)
-    rng = derive_rng(seed, "audit-cache")
-    indices = tuple(
-        tuple(sorted(rng.sample(range(length), cached))) for _ in range(p.k)
-    )
-    cache = CacheState(
-        length=length,
-        indices=indices,
-        values=tuple((0,) * cached for _ in range(p.k)),
-    )
-    return build_corner_plan(p, s, 0, cache, seed)
+    store = random_store(p.k, corner_message_length(p, s), seed)
+    return build_corner_plan(p, s, 0, prefetch(store, binom(p.k - 2, s - 1), seed), seed)
 
 
 def _print_report(report) -> None:

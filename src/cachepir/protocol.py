@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .bounds import Params
+from .bounds import Params, _as_ratio, _check_theta
 from .rng import derive_rng
 from .scheme import ContractViolation, Equation, QueryPlan, compose_plans, split_for_ratio
 
@@ -242,11 +242,8 @@ def retrieve(
     have no such limit.  Identical arguments produce bit-identical
     transcripts.
     """
-    if not 0 <= theta < p.k:
-        raise ValueError(f"theta={theta} outside [0, {p.k - 1}]")
-    r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise ValueError(f"caching ratio {r} outside [0, 1]")
+    _check_theta(p.k, theta)
+    r = _as_ratio(r)
     if r.denominator > max_denominator:
         raise ValueError(
             f"ratio denominator {r.denominator} exceeds simulation limit "

@@ -11,10 +11,12 @@ the previous round, topped with a fresh desired bit, and re-symmetrizes with
 fresh undesired sums.  Finally each database's query list is shuffled
 uniformly.
 
-Arbitrary rational caching ratios are served by memory-sharing: the message
-is split into blocks, each handled by one of the two corner schemes
-enclosing the ratio (past the last corner, blocks are single fully-cached
-bits that need no queries at all).
+Every rational caching ratio is served by memory-sharing: the message is
+split into blocks, each handled by one of the two corner schemes enclosing
+the ratio (past the last corner, blocks are single fully-cached bits that
+need no queries at all).  A corner ratio is the one-block case of the same
+split, so `compose_plans` is the only plan builder and `build_corner_plan`
+is a name for it at r = r_s.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from math import lcm
 
 from .bounds import (
     Params,
+    _as_ratio,
+    _check_s,
+    _check_theta,
     binom,
     corner_download_total,
     corner_message_length,
@@ -87,8 +92,7 @@ class RoundProfile:
 
 def round_profile(p: Params, s: int) -> RoundProfile:
     """Desired/undesired equation counts for rounds s+1 .. k of corner s."""
-    if not 0 <= s <= p.k - 1:
-        raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
+    _check_s(p, s)
     rounds = tuple(
         RoundCounts(
             index=i,
@@ -119,8 +123,7 @@ class QueryPlan:
     per_db: tuple[tuple[Equation, ...], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.theta < self.k:
-            raise ValueError(f"theta={self.theta} outside [0, {self.k - 1}]")
+        _check_theta(self.k, self.theta)
         if len(self.per_db) != self.n:
             raise ValueError("per_db length does not match database count")
 
@@ -148,10 +151,8 @@ def corner_equations(
     returned lists are in generation order (round by round, desired sums
     before undesired ones); privacy additionally requires shuffling them.
     """
-    if not 0 <= s <= p.k - 1:
-        raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
-    if not 0 <= theta < p.k:
-        raise ValueError(f"theta={theta} outside [0, {p.k - 1}]")
+    _check_s(p, s)
+    _check_theta(p.k, theta)
     cached = binom(p.k - 2, s - 1)
     length = corner_message_length(p, s)
     if any(len(order) != cached for order in cached_order):
@@ -223,52 +224,12 @@ def corner_equations(
 def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:
     """Build one corner plan from a prefetched cache.
 
-    The cache must hold exactly binom(k-2, s-1) bits per message over
-    messages of length L(s).  Consumption orders are drawn from seed-derived
-    streams, and each database's final query list is shuffled uniformly.
-    Only the cache's *indices* are read: queries never depend on message
-    content.
+    A corner ratio is the one-block memory-sharing split, so this is
+    `compose_plans` at r = r_s: the cache must hold exactly binom(k-2, s-1)
+    bits per message over messages of length L(s), and only its *indices*
+    are read.
     """
-    if not 0 <= s <= p.k - 1:
-        raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
-    if not 0 <= theta < p.k:
-        raise ValueError(f"theta={theta} outside [0, {p.k - 1}]")
-    length = corner_message_length(p, s)
-    cached = binom(p.k - 2, s - 1)
-    if cache.length != length:
-        raise ContractViolation(
-            f"corner s={s} needs message length {length}, cache has {cache.length}"
-        )
-    if cache.bits_per_message != cached:
-        raise ContractViolation(
-            f"corner s={s} needs {cached} cached bits per message, "
-            f"cache has {cache.bits_per_message}"
-        )
-
-    cached_order = []
-    fresh_order = []
-    for m in range(p.k):
-        held = list(cache.indices[m])
-        derive_rng(seed, "cached-order", m).shuffle(held)
-        cached_order.append(held)
-        held_set = set(cache.indices[m])
-        rest = [i for i in range(length) if i not in held_set]
-        derive_rng(seed, "fresh-order", m).shuffle(rest)
-        fresh_order.append(rest)
-
-    per_db = corner_equations(p, s, theta, cached_order, fresh_order)
-    for db in range(p.n):
-        derive_rng(seed, "shuffle", db).shuffle(per_db[db])
-    return QueryPlan(
-        k=p.k,
-        n=p.n,
-        length=length,
-        theta=theta,
-        r=corner_ratio(p, s),
-        seed=seed,
-        blocks=((s, 1),),
-        per_db=tuple(tuple(eqs) for eqs in per_db),
-    )
+    return compose_plans(p, corner_ratio(p, s), theta, cache, seed)
 
 
 def _block_geometry(p: Params, s: int | None) -> tuple[int, int]:
@@ -324,9 +285,7 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     integers; a ratio hitting a corner exactly degenerates to a single block
     at that corner.
     """
-    r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise ValueError(f"caching ratio {r} outside [0, 1]")
+    r = _as_ratio(r)
     if r == 1:
         return SplitSpec(
             k=p.k,
@@ -375,15 +334,11 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
     The cache's indices are dealt (in seeded random order) to the blocks of
     the split, each block getting exactly its corner's cached quota; the
     combined per-database query list is shuffled once at the end.  A ratio
-    hitting a corner returns that corner's plan unchanged, and r = 1 returns
-    an empty plan.
+    hitting a corner is the one-block case, and r = 1 returns an empty plan.
     """
+    _check_theta(p.k, theta)
     r = Fraction(r)
     split = split_for_ratio(p, r)
-    if split.alpha == 1:
-        return build_corner_plan(p, split.s, theta, cache, seed)
-    if not 0 <= theta < p.k:
-        raise ValueError(f"theta={theta} outside [0, {p.k - 1}]")
     if cache.length != split.total_length:
         raise ContractViolation(
             f"ratio {r} needs message length {split.total_length}, "

@@ -8,6 +8,7 @@ import pytest
 from cachepir import (
     Params,
     bias_mixture_assignment,
+    corner_message_length,
     corner_ratio,
     drop_undesired_equation,
     enumerate_privacy,
@@ -20,6 +21,8 @@ from cachepir import (
     verify_cost,
     verify_decodability,
 )
+from cachepir.audit import _corner_signatures
+from cachepir.rng import derive_rng
 
 
 def tampered(t, **changes):
@@ -214,6 +217,23 @@ def test_montecarlo_privacy_smoke():
     assert report.passed
     assert report.distance < 0.05
     assert report.trials == 1000
+
+
+@pytest.mark.parametrize("k,n,s", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 2)])
+def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
+    # The Monte-Carlo audit never builds a plan: it signs corner_equations
+    # over one permutation per message.  Those must be the signatures of the
+    # plans retrieve actually ships at that corner.
+    p = Params(k, n)
+    length = corner_message_length(p, s)
+    seed = 31
+    for theta in (0, k - 1):
+        shipped = retrieve(p, theta, corner_ratio(p, s), seed).plan
+        rng = derive_rng(seed, "mc", theta)
+        perms = [rng.sample(range(length), length) for _ in range(k)]
+        assert [plan_signature(eqs) for eqs in shipped.per_db] == _corner_signatures(
+            p, s, theta, perms
+        )
 
 
 def test_montecarlo_requires_enough_trials():

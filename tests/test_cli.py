@@ -186,9 +186,10 @@ def test_audit_exact_oversized_exits_2(capsys):
     assert "outcomes" in err
 
 
-def test_audit_structural_mode(capsys):
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_audit_structural_mode(s, capsys):
     code, text, _ = run(
-        ["audit", "--k", "3", "--n", "2", "--s", "1", "--mode", "structural",
+        ["audit", "--k", "3", "--n", "2", "--s", str(s), "--mode", "structural",
          "--seed", "3"],
         capsys,
     )
