@@ -7,13 +7,16 @@ against the bounds module.  Privacy is audited on per-database *signatures*:
 the canonical form of a query list with bit identities erased but message
 identities and bit-reuse structure kept.  Under the uniform per-message index
 permutation the raw indices are exchangeable, so the signature is the
-permutation-invariant statistic a database could actually act on.  Signatures
-are compared exactly (full enumeration of the randomness space, tiny
-instances only) or statistically (Monte-Carlo total-variation estimate).
-Both walk the same space through one path: one permutation per message,
-whose head is the cache and whose order is the consumption order, fed to
-`corner_equations`; no plan is built and the query shuffle is skipped,
-since the signature cannot see it.
+permutation-invariant statistic a database could actually act on.  A draw of
+the corner randomness is one permutation per message, whose head is the
+cache and whose order is the consumption order, fed to `corner_equations`;
+no plan is built and the query shuffle is skipped, since the signature
+cannot see it.  Every draw is a per-message bit relabeling of one fixed
+layout, so a private scheme gives each database one signature whatever the
+draw and the desired index.  Both distributional audits therefore check
+each draw against one reference, the identity layout at desired index 0,
+and pass only when no draw misses it: exhaustively over every draw (tiny
+instances only) or over seeded samples.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
@@ -92,7 +95,6 @@ class PrivacyReport:
     passed: bool
     distance: object
     per_db: tuple
-    threshold: object
     trials: int | None = None
     seed: object = None
     detail: str = ""
@@ -193,7 +195,6 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
         passed=distance == 0,
         distance=distance,
         per_db=tuple(per_db),
-        threshold=Fraction(0),
         detail="; ".join(violations),
     )
 
@@ -224,101 +225,98 @@ def _corner_signatures(p: Params, s: int, theta: int, perms, mutation=None) -> l
     return [plan_signature(eqs) for eqs in per_db]
 
 
-def _tv_exact(a: Counter, b: Counter, total: int) -> Fraction:
-    keys = set(a) | set(b)
-    return Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)
+def _reference_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
+    """Per database, the worst share over `thetas` of draws that miss the reference.
+
+    The reference is the signature of the identity layout at desired index 0,
+    passed through `mutation` like every draw.  `draws(theta)` yields one permutation per message, laid out as
+    `_corner_signatures` takes it.  Each share is the exact total-variation
+    distance of that desired index's empirical signature distribution from
+    the reference point mass, so it is 0 on a private scheme.
+    """
+    identity = [range(corner_message_length(p, s))] * p.k
+    reference = _corner_signatures(p, s, 0, identity, mutation)
+    worst = [Fraction(0)] * p.n
+    for theta in thetas:
+        total = 0
+        misses = [0] * p.n
+        for perms in draws(theta):
+            total += 1
+            for db, sig in enumerate(_corner_signatures(p, s, theta, perms, mutation)):
+                misses[db] += sig != reference[db]
+        worst = [max(w, Fraction(miss, total)) for w, miss in zip(worst, misses)]
+    return tuple(worst)
 
 
-def enumerate_privacy(p: Params, s: int, *, max_outcomes: int = 10**7) -> PrivacyReport:
-    """Exact signature distributions over the whole randomness space.
+MAX_OUTCOMES = 10**7
 
-    Enumerates every per-message index permutation (cache placement plus both
-    consumption orders) for every desired index and compares the resulting
-    per-database signature distributions; passes only on total-variation
-    distance exactly 0.  Query shuffles are counted in the size guard but not
-    iterated: the signature is order-invariant, so they scale every
-    distribution uniformly.
+
+def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
+    """Exact privacy certificate over the whole randomness space.
+
+    Walks every per-message index permutation (cache placement plus both
+    consumption orders) for every desired index and passes only when every
+    one gives each database the reference signature.  Since a draw only
+    relabels bits within each message, which the signature cannot see, that
+    is the expected outcome; this walk is the brute-force evidence for the
+    argument on tiny instances.  Query shuffles are counted in the size
+    guard but not iterated: the signature is order-invariant.
     """
     length = corner_message_length(p, s)
     per_db_eqs = corner_download_total(p, s) // p.n
     outcomes = factorial(length) ** p.k * factorial(per_db_eqs) ** p.n
-    if outcomes > max_outcomes:
+    if outcomes > MAX_OUTCOMES:
         raise ValueError(
             f"instance too large for exact enumeration: {outcomes} outcomes "
-            f"exceed the {max_outcomes} guard"
+            f"exceed the {MAX_OUTCOMES} guard"
         )
-
-    dists: dict[tuple[int, int], Counter] = defaultdict(Counter)
-    for theta in range(p.k):
-        for perms in product(permutations(range(length)), repeat=p.k):
-            for db, sig in enumerate(_corner_signatures(p, s, theta, perms)):
-                dists[theta, db][sig] += 1
-
-    total = factorial(length) ** p.k
-    per_db = []
-    for db in range(p.n):
-        worst = Fraction(0)
-        for a, b in combinations(range(p.k), 2):
-            worst = max(worst, _tv_exact(dists[a, db], dists[b, db], total))
-        per_db.append(worst)
+    per_db = _reference_distance(
+        p, s, range(p.k), lambda _: product(permutations(range(length)), repeat=p.k)
+    )
     distance = max(per_db)
     return PrivacyReport(
         mode="exact",
         passed=distance == 0,
         distance=distance,
-        per_db=tuple(per_db),
-        threshold=Fraction(0),
+        per_db=per_db,
         trials=outcomes,
     )
 
 
 def montecarlo_privacy(
-    p: Params,
-    s: int,
-    trials: int,
-    seed,
-    *,
-    threshold: float = 0.05,
-    mutation=None,
+    p: Params, s: int, trials: int, seed, *, mutation=None
 ) -> PrivacyReport:
-    """Estimate the signature total-variation distance between two desired indices.
+    """Sampled privacy certificate for desired indices 0 and 1.
 
-    Draws `trials` samples of the corner-s randomness for desired index 0
-    and again for index 1 and compares the empirical per-database signature
-    distributions; passes when the worst estimate stays below `threshold`
-    (0.05 is a loose bound on multinomial sampling noise at 10^4 trials).
+    Draws `trials` samples of the corner-s randomness for each desired index
+    and passes only when every sample gives each database the reference
+    signature; the distance is the exact share of samples that miss it.  A
+    draw only relabels bits within each message, which the signature cannot
+    see, so one miss is a leak.  The 1000-trial floor stays because a leak
+    confined to a few percent of draws would likely escape fewer: one on 3%
+    of draws escapes 100 samples about once in twenty, 1000 almost never.
     A sample is one uniform permutation per message, the space
     `enumerate_privacy` walks: its head is a uniform cache, and head and
     tail are in uniform consumption order, as `prefetch` and `compose_plans`
-    draw them.  The final query shuffle is skipped because the
-    order-invariant signature cannot see it, so the statistic has the same
-    law as over shipped plans.  `mutation` hooks a plan transform in front
-    of the statistic, which is how the negative controls are exercised.
+    draw them.  `mutation` hooks a plan transform in front of the statistic,
+    which is how the negative controls are exercised.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     length = corner_message_length(p, s)
-    counters: dict[tuple[int, int], Counter] = defaultdict(Counter)
-    for theta in (0, 1):
+
+    def draws(theta):
         rng = derive_rng(seed, "mc", theta)
         for _ in range(trials):
-            perms = [rng.sample(range(length), length) for _ in range(p.k)]
-            sigs = _corner_signatures(p, s, theta, perms, mutation)
-            for db, sig in enumerate(sigs):
-                counters[theta, db][sig] += 1
+            yield [rng.sample(range(length), length) for _ in range(p.k)]
 
-    per_db = []
-    for db in range(p.n):
-        a, b = counters[0, db], counters[1, db]
-        keys = set(a) | set(b)
-        per_db.append(sum(abs(a[k] - b[k]) for k in keys) / (2 * trials))
+    per_db = _reference_distance(p, s, (0, 1), draws, mutation)
     distance = max(per_db)
     return PrivacyReport(
         mode="montecarlo",
-        passed=distance < threshold,
+        passed=distance == 0,
         distance=distance,
-        per_db=tuple(per_db),
-        threshold=threshold,
+        per_db=per_db,
         trials=trials,
         seed=seed,
     )

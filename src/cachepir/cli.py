@@ -287,7 +287,7 @@ def _plan_for_audit(p: Params, s: int, seed) -> QueryPlan:
 
 def _print_report(report) -> None:
     print(f"mode:      {report.mode}")
-    print(f"distance:  {report.distance}  (threshold {report.threshold})")
+    print(f"distance:  {report.distance}")
     print(f"per-db:    {list(report.per_db)}")
     if report.trials is not None:
         print(f"trials:    {report.trials}")

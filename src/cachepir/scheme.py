@@ -282,35 +282,14 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     """Locate the enclosing corner pair of r and solve the divisibility constraints.
 
     Returns the smallest total message length for which both block counts are
-    integers; a ratio hitting a corner exactly degenerates to a single block
-    at that corner.
+    integers.  The same formula covers the end points: a ratio hitting a
+    corner gets alpha = 1 and one block of that corner, and r = 1 gets
+    alpha = 0 and one 1-bit filler block.
     """
     r = _as_ratio(r)
-    if r == 1:
-        return SplitSpec(
-            k=p.k,
-            n=p.n,
-            s=p.k - 1,
-            alpha=Fraction(0),
-            total_length=1,
-            low_blocks=0,
-            high_blocks=1,
-        )
-
     ratios = [corner_ratio(p, s) for s in range(p.k)]
     s = max(i for i, ratio in enumerate(ratios) if ratio <= r)
     low_len, _ = _block_geometry(p, s)
-    if r == ratios[s]:
-        return SplitSpec(
-            k=p.k,
-            n=p.n,
-            s=s,
-            alpha=Fraction(1),
-            total_length=low_len,
-            low_blocks=1,
-            high_blocks=0,
-        )
-
     high_ratio = ratios[s + 1] if s + 1 <= p.k - 1 else Fraction(1)
     high_len, _ = _block_geometry(p, s + 1 if s + 1 <= p.k - 1 else None)
     alpha = (high_ratio - r) / (high_ratio - ratios[s])

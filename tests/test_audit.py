@@ -1,13 +1,17 @@
 """Audit instruments: rank checks, cost reconciliation, privacy signatures."""
 
 import dataclasses
+import random
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 
 from cachepir import (
     Params,
     bias_mixture_assignment,
+    binom,
+    corner_equations,
     corner_message_length,
     corner_ratio,
     drop_undesired_equation,
@@ -21,7 +25,7 @@ from cachepir import (
     verify_cost,
     verify_decodability,
 )
-from cachepir.audit import _corner_signatures
+from cachepir.audit import _corner_signatures, _reference_distance
 from cachepir.rng import derive_rng
 
 
@@ -208,6 +212,45 @@ def test_enumerate_privacy_refuses_large():
         enumerate_privacy(Params(3, 2), 1)
 
 
+def test_enumeration_catches_leak():
+    p = Params(2, 2)
+    length = corner_message_length(p, 0)
+    per_db = _reference_distance(
+        p,
+        0,
+        range(p.k),
+        lambda _: product(permutations(range(length)), repeat=p.k),
+        skip_message_symmetry,
+    )
+    assert per_db == (1, 1)
+
+
+@pytest.mark.parametrize("k,n,s", [(3, 2, 1), (4, 3, 1), (5, 2, 2)])
+def test_draw_relabels_identity_layout(k, n, s):
+    # The exact verdict rests on this: a draw's equations are the identity
+    # layout's with message m's bit j renamed perm[m][j], a renaming
+    # plan_signature cannot see.
+    p = Params(k, n)
+    length = corner_message_length(p, s)
+    cached = binom(k - 2, s - 1)
+    identity = [range(length)] * k
+    rng = random.Random(f"relabel-{k}-{n}-{s}")
+    for theta in (0, k - 1):
+        base = corner_equations(
+            p, s, theta, [o[:cached] for o in identity], [o[cached:] for o in identity]
+        )
+        for _ in range(3):
+            perms = [rng.sample(range(length), length) for _ in range(k)]
+            drawn = corner_equations(
+                p, s, theta, [o[:cached] for o in perms], [o[cached:] for o in perms]
+            )
+            relabeled = [
+                [frozenset((m, perms[m][j]) for m, j in eq) for eq in eqs]
+                for eqs in base
+            ]
+            assert drawn == relabeled
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo
 
@@ -215,7 +258,7 @@ def test_enumerate_privacy_refuses_large():
 def test_montecarlo_privacy_smoke():
     report = montecarlo_privacy(Params(3, 2), 1, 1000, seed=42)
     assert report.passed
-    assert report.distance < 0.05
+    assert report.distance == 0
     assert report.trials == 1000
 
 
@@ -247,6 +290,22 @@ def test_montecarlo_mutant_fails():
     )
     assert not report.passed
     assert report.distance > 0.5
+
+
+def test_montecarlo_catches_rare_leak():
+    # One draw in 33 leaks, so a tolerance of 0.05 would pass it.
+    calls = 0
+
+    def leak_every_33rd(plan):
+        nonlocal calls
+        calls += 1
+        return drop_undesired_equation(plan) if calls % 33 == 0 else plan
+
+    report = montecarlo_privacy(
+        Params(3, 2), 1, 1000, seed=7, mutation=leak_every_33rd
+    )
+    assert not report.passed
+    assert report.distance == F(3, 100)
 
 
 def test_mutators_validate_input():
