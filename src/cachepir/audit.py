@@ -134,7 +134,7 @@ def verify_decodability(t: Transcript) -> bool:
         redecoded = decode(t.plan, [list(a) for a in t.answers], t.cache)
     except DecodeError:
         return False
-    if redecoded != t.decoded or redecoded != t.store.bits[t.theta]:
+    if redecoded != t.decoded or redecoded != t.store.bits[t.plan.theta]:
         return False
 
     length = t.length
@@ -149,17 +149,15 @@ def verify_decodability(t: Transcript) -> bool:
         for j in t.cache.indices[m]
     )
     basis = _span_basis(rows)
-    offset = t.theta * length
+    offset = t.plan.theta * length
     return all(_in_span(1 << (offset + j), basis) for j in range(length))
 
 
 def verify_cost(t: Transcript) -> bool:
     """Equal per-database load and normalized cost exactly on the outer bound."""
-    if len(set(t.per_db_downloads)) > 1:
+    if len(set(t.plan.downloads_per_db)) > 1:
         return False
-    if sum(t.per_db_downloads) != t.total_downloads:
-        return False
-    return Fraction(t.total_downloads, t.length) == outer_bound(t.params, t.r)
+    return t.cost == outer_bound(t.params, t.plan.r)
 
 
 def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
@@ -286,15 +284,19 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
 def montecarlo_privacy(
     p: Params, s: int, trials: int, seed, *, mutation=None
 ) -> PrivacyReport:
-    """Sampled privacy certificate for desired indices 0 and 1.
+    """Sampled privacy certificate over every desired index.
 
-    Draws `trials` samples of the corner-s randomness for each desired index
-    and passes only when every sample gives each database the reference
-    signature; the distance is the exact share of samples that miss it.  A
-    draw only relabels bits within each message, which the signature cannot
-    see, so one miss is a leak.  The 1000-trial floor stays because a leak
-    confined to a few percent of draws would likely escape fewer: one on 3%
-    of draws escapes 100 samples about once in twenty, 1000 almost never.
+    Draws `trials` samples of the corner-s randomness for desired index 0
+    and `trials // (k-1)` for each other index, each from its own stream, so
+    at most 2·trials in all.  It passes only when every sample gives each
+    database the reference signature; the distance is the worst exact share
+    of one index's samples that miss it.  A draw only relabels bits within
+    each message, which the signature cannot see, so one miss is a leak.
+    The 1000-trial floor stays because a leak confined to a few percent of
+    one index's draws would likely escape fewer: one on 3% of draws escapes
+    100 samples about once in twenty.  At 1000 trials and k ≤ 5 every index
+    gets at least 250 draws, which that leak escapes about once in two
+    thousand, and index 0 gets 1000, which it almost never escapes.
     A sample is one uniform permutation per message, the space
     `enumerate_privacy` walks: its head is a uniform cache, and head and
     tail are in uniform consumption order, as `prefetch` and `compose_plans`
@@ -307,10 +309,10 @@ def montecarlo_privacy(
 
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)
-        for _ in range(trials):
+        for _ in range(trials if theta == 0 else trials // (p.k - 1)):
             yield [rng.sample(range(length), length) for _ in range(p.k)]
 
-    per_db = _reference_distance(p, s, (0, 1), draws, mutation)
+    per_db = _reference_distance(p, s, range(p.k), draws, mutation)
     distance = max(per_db)
     return PrivacyReport(
         mode="montecarlo",

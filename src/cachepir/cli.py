@@ -25,8 +25,6 @@ from fractions import Fraction
 from . import audit as audit_mod
 from .bounds import (
     Params,
-    binom,
-    corner_message_length,
     corner_points,
     corner_ratio,
     curve_point,
@@ -34,16 +32,8 @@ from .bounds import (
     inner_corner,
     worst_case_gap,
 )
-from .protocol import (
-    CacheState,
-    DecodeError,
-    MessageStore,
-    Transcript,
-    prefetch,
-    random_store,
-    retrieve,
-)
-from .scheme import QueryPlan, build_corner_plan
+from .protocol import CacheState, DecodeError, MessageStore, Transcript, retrieve
+from .scheme import QueryPlan
 
 CURVE_HEADER = (
     "r,r_exact,outer,outer_exact,inner,inner_exact,"
@@ -81,9 +71,9 @@ def transcript_to_dict(t: Transcript) -> dict:
     return {
         "k": t.params.k,
         "n": t.params.n,
-        "theta": t.theta,
-        "r": fraction_token(t.r),
-        "seed": t.seed,
+        "theta": t.plan.theta,
+        "r": fraction_token(t.plan.r),
+        "seed": t.plan.seed,
         "length": t.length,
         "blocks": [[s, count] for s, count in t.plan.blocks],
         "per_db": [
@@ -97,53 +87,64 @@ def transcript_to_dict(t: Transcript) -> dict:
             "values": [list(vals) for vals in t.cache.values],
         },
         "messages": [f"{w:0{(t.length + 3) // 4}x}" for w in t.store.bits],
-        "per_db_downloads": list(t.per_db_downloads),
-        "total_downloads": t.total_downloads,
+        "per_db_downloads": list(t.plan.downloads_per_db),
+        "total_downloads": t.plan.total_downloads,
         "cost": fraction_token(t.cost),
     }
 
 
 def transcript_from_dict(data: dict) -> Transcript:
-    params = Params(data["k"], data["n"])
-    length = data["length"]
-    plan = QueryPlan(
-        k=params.k,
-        n=params.n,
-        length=length,
-        theta=data["theta"],
-        r=Fraction(data["r"]),
-        seed=data["seed"],
-        blocks=tuple((s, count) for s, count in data["blocks"]),
-        per_db=tuple(
-            tuple(frozenset((m, b) for m, b in eq) for eq in eqs)
-            for eqs in data["per_db"]
-        ),
-    )
-    cache = CacheState(
-        length=length,
-        indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
-        values=tuple(tuple(vals) for vals in data["cache"]["values"]),
-    )
-    store = MessageStore(
-        count=params.k,
-        length=length,
-        bits=tuple(int(w, 16) for w in data["messages"]),
-    )
-    decoded = sum(bit << j for j, bit in enumerate(data["decoded"]))
-    return Transcript(
-        params=params,
-        theta=data["theta"],
-        r=Fraction(data["r"]),
-        seed=data["seed"],
-        plan=plan,
-        answers=tuple(tuple(a) for a in data["answers"]),
-        decoded=decoded,
-        per_db_downloads=tuple(data["per_db_downloads"]),
-        total_downloads=data["total_downloads"],
-        cost=Fraction(data["cost"]),
-        store=store,
-        cache=cache,
-    )
+    """Rebuild a transcript and check the file's counts and cost against it.
+
+    A missing key, a wrong type, answers that do not match the queries, or
+    recorded counts or cost that differ from the ones the queries give all
+    raise ValueError.
+    """
+    try:
+        params = Params(data["k"], data["n"])
+        length = data["length"]
+        plan = QueryPlan(
+            k=params.k,
+            n=params.n,
+            length=length,
+            theta=data["theta"],
+            r=Fraction(data["r"]),
+            seed=data["seed"],
+            blocks=tuple((s, count) for s, count in data["blocks"]),
+            per_db=tuple(
+                tuple(frozenset((m, b) for m, b in eq) for eq in eqs)
+                for eqs in data["per_db"]
+            ),
+        )
+        cache = CacheState(
+            length=length,
+            indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
+            values=tuple(tuple(vals) for vals in data["cache"]["values"]),
+        )
+        store = MessageStore(
+            count=params.k,
+            length=length,
+            bits=tuple(int(w, 16) for w in data["messages"]),
+        )
+        t = Transcript(
+            plan=plan,
+            answers=tuple(tuple(a) for a in data["answers"]),
+            decoded=sum(bit << j for j, bit in enumerate(data["decoded"])),
+            store=store,
+            cache=cache,
+        )
+        for key, recorded, derived in (
+            ("per_db_downloads", tuple(data["per_db_downloads"]), plan.downloads_per_db),
+            ("total_downloads", data["total_downloads"], plan.total_downloads),
+            ("cost", Fraction(data["cost"]), t.cost),
+        ):
+            if recorded != derived:
+                raise ValueError(
+                    f"transcript {key} {recorded} disagrees with its queries ({derived})"
+                )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed transcript: {err!r}") from err
+    return t
 
 
 def write_transcript(t: Transcript, path: str) -> None:
@@ -260,15 +261,18 @@ def cmd_simulate(args) -> int:
     except DecodeError as err:
         print(f"decode failed: {err}", file=sys.stderr)
         return 1
-    decoded_ok = t.decoded == t.store.bits[t.theta]
+    decoded_ok = t.decoded == t.store.bits[t.plan.theta]
     cost_ok = audit_mod.verify_cost(t)
     rank_ok = audit_mod.verify_decodability(t)
     symmetry = audit_mod.structural_symmetry(t.plan)
     print(
-        f"k={p.k} n={p.n} theta={t.theta} r={t.r} seed={args.seed} "
+        f"k={p.k} n={p.n} theta={t.plan.theta} r={t.plan.r} seed={args.seed} "
         f"length={t.length}"
     )
-    print(f"downloads per database: {list(t.per_db_downloads)} (total {t.total_downloads})")
+    print(
+        f"downloads per database: {list(t.plan.downloads_per_db)} "
+        f"(total {t.plan.total_downloads})"
+    )
     print(f"cost = {_show(t.cost, precision)}")
     print(f"decode exact:        {'pass' if decoded_ok else 'FAIL'}")
     print(f"cost reconciliation: {'pass' if cost_ok else 'FAIL'}")
@@ -278,11 +282,6 @@ def cmd_simulate(args) -> int:
         write_transcript(t, args.out)
         print(f"transcript written to {args.out}")
     return 0 if decoded_ok and cost_ok and rank_ok and symmetry.passed else 1
-
-
-def _plan_for_audit(p: Params, s: int, seed) -> QueryPlan:
-    store = random_store(p.k, corner_message_length(p, s), seed)
-    return build_corner_plan(p, s, 0, prefetch(store, binom(p.k - 2, s - 1), seed), seed)
 
 
 def _print_report(report) -> None:
@@ -299,7 +298,8 @@ def _print_report(report) -> None:
 def cmd_audit(args) -> int:
     p = Params(args.k, args.n)
     if args.mode == "structural":
-        report = audit_mod.structural_symmetry(_plan_for_audit(p, args.s, args.seed))
+        plan = retrieve(p, 0, corner_ratio(p, args.s), args.seed).plan
+        report = audit_mod.structural_symmetry(plan)
     elif args.mode == "exact":
         report = audit_mod.enumerate_privacy(p, args.s)
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .bounds import Params, _as_ratio, _check_theta
+from .bounds import Params, _check_theta
 from .rng import derive_rng
 from .scheme import ContractViolation, Equation, QueryPlan, compose_plans, split_for_ratio
 
@@ -205,70 +205,62 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
 
 @dataclass(frozen=True)
 class Transcript:
-    """One full retrieval run, immutable and self-contained for audits."""
+    """One full retrieval run, immutable and self-contained for audits.
 
-    params: Params
-    theta: int
-    r: Fraction
-    seed: object
+    Only the run's inputs and outputs are stored; the parameters, message
+    length and normalized cost are read off the plan, so they cannot
+    disagree with it.
+    """
+
     plan: QueryPlan
     answers: tuple[tuple[int, ...], ...]
     decoded: int
-    per_db_downloads: tuple[int, ...]
-    total_downloads: int
-    cost: Fraction
     store: MessageStore
     cache: CacheState
 
     def __post_init__(self) -> None:
-        if self.cost != Fraction(self.total_downloads, self.length):
-            raise ValueError("normalized cost is not total downloads / message length")
+        if tuple(len(a) for a in self.answers) != self.plan.downloads_per_db:
+            raise ValueError("answer lengths do not match the plan's queries per database")
+
+    @property
+    def params(self) -> Params:
+        return Params(self.plan.k, self.plan.n)
 
     @property
     def length(self) -> int:
         return self.plan.length
 
+    @property
+    def cost(self) -> Fraction:
+        return Fraction(self.plan.total_downloads, self.length)
+
     def decoded_bits(self) -> list[int]:
         return [(self.decoded >> j) & 1 for j in range(self.length)]
 
 
-def retrieve(
-    p: Params, theta: int, r, seed, *, max_denominator: int = 10**6
-) -> Transcript:
+MAX_SIMULATED_BITS = 2**22
+
+
+def retrieve(p: Params, theta: int, r, seed) -> Transcript:
     """Run one complete retrieval at caching ratio r under one master seed.
 
-    The ratio must be rational with denominator at most `max_denominator`
-    (the simulated message length scales with it); analytic bound queries
-    have no such limit.  Identical arguments produce bit-identical
-    transcripts.
+    The simulated store holds k messages of the split's length L, and k·L
+    may not exceed MAX_SIMULATED_BITS; the ratio is refused before anything
+    is allocated.  That also bounds the plan: it downloads fewer than 2L
+    sums (the cost is at most its value at r = 0, which is below 2), each of
+    at most k bits.  Analytic bound queries have no such limit.  Identical
+    arguments produce bit-identical transcripts.
     """
     _check_theta(p.k, theta)
-    r = _as_ratio(r)
-    if r.denominator > max_denominator:
-        raise ValueError(
-            f"ratio denominator {r.denominator} exceeds simulation limit "
-            f"{max_denominator}"
-        )
-
     split = split_for_ratio(p, r)
+    if p.k * split.total_length > MAX_SIMULATED_BITS:
+        raise ValueError(
+            f"ratio {r} needs {p.k} messages of {split.total_length} bits, "
+            f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
+        )
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
     plan = compose_plans(p, r, theta, cache, seed)
-    per_db_answers = tuple(tuple(answer(store, list(eqs))) for eqs in plan.per_db)
-    decoded = decode(plan, [list(a) for a in per_db_answers], cache)
-    counts = tuple(len(a) for a in per_db_answers)
-    total = sum(counts)
-    return Transcript(
-        params=p,
-        theta=theta,
-        r=r,
-        seed=seed,
-        plan=plan,
-        answers=per_db_answers,
-        decoded=decoded,
-        per_db_downloads=counts,
-        total_downloads=total,
-        cost=Fraction(total, split.total_length),
-        store=store,
-        cache=cache,
-    )
+    answers = tuple(tuple(answer(store, list(eqs))) for eqs in plan.per_db)
+    decoded = decode(plan, [list(a) for a in answers], cache)
+    return Transcript(plan=plan, answers=answers, decoded=decoded, store=store, cache=cache)

@@ -110,7 +110,7 @@ def test_c04_protocol_reliability_and_cost():
                         for seed in range(20):
                             t = retrieve(p, theta, r, seed)
                             assert t.decoded == t.store.bits[theta], (k, n, s, theta, seed)
-                            assert t.total_downloads == expected
+                            assert t.plan.total_downloads == expected
         composed = retrieve(Params(3, 2), 0, F(1, 5), 123)
         assert composed.decoded == composed.store.bits[0]
         assert composed.cost == 1

@@ -126,19 +126,26 @@ def test_rank_check_sees_what_decoder_misses():
 
 def test_verify_cost_golden():
     t = retrieve(Params(3, 2), 0, F(1, 7), 1)
-    assert t.per_db_downloads == (4, 4)
+    assert t.plan.downloads_per_db == (4, 4)
     assert verify_cost(t)
     t = retrieve(Params(3, 2), 1, F(1, 5), 1)
-    assert t.per_db_downloads == (5, 5)
+    assert t.plan.downloads_per_db == (5, 5)
     assert verify_cost(t)
     t = retrieve(Params(4, 3), 2, F(2, 17), 1)
-    assert t.per_db_downloads == (6, 6, 6)
+    assert t.plan.downloads_per_db == (6, 6, 6)
     assert verify_cost(t)
 
 
 def test_verify_cost_catches_wrong_total():
     t = retrieve(Params(3, 2), 0, F(1, 7), 1)
-    assert not verify_cost(tampered(t, per_db_downloads=(5, 3)))
+    eqs = [list(e) for e in t.plan.per_db]
+    answers = [list(a) for a in t.answers]
+    del eqs[1][0]
+    del answers[1][0]
+    plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
+    bad = tampered(t, plan=plan, answers=tuple(tuple(a) for a in answers))
+    assert bad.plan.downloads_per_db == (4, 3)
+    assert not verify_cost(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +313,18 @@ def test_montecarlo_catches_rare_leak():
     )
     assert not report.passed
     assert report.distance == F(3, 100)
+
+
+def test_montecarlo_draws_every_desired_index():
+    # A leak confined to the last desired index: only drawing every index sees it.
+    def leak_at_theta_2(plan):
+        return drop_undesired_equation(plan) if plan.theta == 2 else plan
+
+    report = montecarlo_privacy(
+        Params(3, 2), 1, 1000, seed=7, mutation=leak_at_theta_2
+    )
+    assert not report.passed
+    assert report.distance == 1
 
 
 def test_mutators_validate_input():

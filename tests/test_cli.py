@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachepir import Params, decode, outer_bound, verify_cost
+from cachepir import Params, decode, outer_bound, retrieve, verify_cost
 from cachepir.cli import (
     CURVE_HEADER,
     decimal_str,
@@ -13,6 +13,8 @@ from cachepir.cli import (
     load_transcript,
     main,
     parse_ratio,
+    transcript_from_dict,
+    transcript_to_dict,
 )
 
 
@@ -144,6 +146,37 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     assert decode(t.plan, [list(a) for a in t.answers], t.cache) == t.decoded
     assert verify_cost(t)
     assert t.cost == F(8, 7)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(per_db_downloads=[5, 3]),
+        lambda d: d.update(total_downloads=d["total_downloads"] + 1),
+        lambda d: d.update(cost="9/7"),
+        lambda d: d["answers"][0].pop(),
+    ],
+    ids=["per_db_downloads", "total_downloads", "cost", "short-answers"],
+)
+def test_transcript_loader_refuses_inconsistent_file(edit):
+    data = transcript_to_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    assert data["per_db_downloads"] == [4, 4] and data["cost"] == "8/7"
+    edit(data)
+    with pytest.raises(ValueError):
+        transcript_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit,cause",
+    [(lambda d: d.pop("cache"), KeyError), (lambda d: d.update(answers=7), TypeError)],
+    ids=["missing-key", "wrong-type"],
+)
+def test_transcript_loader_chains_malformed_input(edit, cause):
+    data = transcript_to_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    edit(data)
+    with pytest.raises(ValueError) as err:
+        transcript_from_dict(data)
+    assert isinstance(err.value.__cause__, cause)
 
 
 def test_simulate_composed_ratio(capsys):

@@ -1,5 +1,6 @@
 """Simulation pipeline: prefetching, answering, decoding, full retrievals."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,9 @@ from cachepir import (
     prefetch,
     random_store,
     retrieve,
+    split_for_ratio,
 )
+from cachepir.protocol import MAX_SIMULATED_BITS
 
 
 def test_store_validation():
@@ -198,7 +201,7 @@ def test_decode_unrecovered_bits_reported():
 def test_retrieve_golden(k, n, r, total, length):
     for theta in range(k):
         t = retrieve(Params(k, n), theta, r, seed=17)
-        assert t.total_downloads == total
+        assert t.plan.total_downloads == total
         assert t.length == length
         assert t.cost == F(total, length)
         assert t.decoded == t.store.bits[theta]
@@ -206,7 +209,7 @@ def test_retrieve_golden(k, n, r, total, length):
 
 def test_retrieve_full_cache():
     t = retrieve(Params(4, 2), 3, 1, seed=2)
-    assert t.total_downloads == 0
+    assert t.plan.total_downloads == 0
     assert t.cost == 0
     assert t.decoded == t.store.bits[3]
 
@@ -226,8 +229,24 @@ def test_retrieve_argument_errors():
         retrieve(p, 3, F(1, 7), 0)
     with pytest.raises(ValueError):
         retrieve(p, 0, F(3, 2), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="simulation budget"):
         retrieve(p, 0, F(1, 10**7), 0)
+
+
+def test_retrieve_budget():
+    # refused before the store is drawn: the split alone is 109 545 375 bits
+    with pytest.raises(ValueError, match="simulation budget"):
+        retrieve(Params(8, 5), 0, F(1, 997), 0)
+    # the largest ROADMAP grid point fits
+    split = split_for_ratio(Params(4, 2), F(7, 99991))
+    assert 4 * split.total_length <= MAX_SIMULATED_BITS
+
+
+def test_transcript_answers_must_match_plan():
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    short = (t.answers[0][:-1],) + t.answers[1:]
+    with pytest.raises(ValueError, match="answer lengths"):
+        dataclasses.replace(t, answers=short)
 
 
 def test_retrieve_reliability_sweep():
@@ -240,7 +259,7 @@ def test_retrieve_reliability_sweep():
                     for seed in range(3):
                         t = retrieve(p, theta, r, seed)
                         assert t.decoded == t.store.bits[theta]
-                        assert len(set(t.per_db_downloads)) == 1
+                        assert len(set(t.plan.downloads_per_db)) == 1
 
 
 def test_cache_quota_matches_ratio():
