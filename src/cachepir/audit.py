@@ -9,14 +9,14 @@ identities and bit-reuse structure kept.  Under the uniform per-message index
 permutation the raw indices are exchangeable, so the signature is the
 permutation-invariant statistic a database could actually act on.  A draw of
 the corner randomness is one permutation per message, whose head is the
-cache and whose order is the consumption order, fed to `corner_equations`;
-no plan is built and the query shuffle is skipped, since the signature
-cannot see it.  Every draw is a per-message bit relabeling of one fixed
-layout, so a private scheme gives each database one signature whatever the
-draw and the desired index.  Both distributional audits therefore check
-each draw against one reference, the identity layout at desired index 0,
-and pass only when no draw misses it: exhaustively over every draw (tiny
-instances only) or over seeded samples.
+cache and whose order is the consumption order, and it relabels the corner
+layout; no plan is built and the query shuffle is skipped, since the
+signature cannot see it.  Every draw is thus, by construction, a
+per-message bit relabeling of one fixed layout, so a private scheme gives
+each database one signature whatever the draw and the desired index.  Both
+distributional audits therefore check each draw against one reference, the
+layout itself at desired index 0, and pass only when no draw misses it:
+exhaustively over every draw (tiny instances only) or over seeded samples.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
@@ -34,7 +34,6 @@ from math import factorial
 
 from .bounds import (
     Params,
-    binom,
     corner_download_total,
     corner_message_length,
     corner_ratio,
@@ -42,7 +41,7 @@ from .bounds import (
 )
 from .protocol import DecodeError, Transcript, decode
 from .rng import derive_rng
-from .scheme import QueryPlan, corner_equations
+from .scheme import QueryPlan, corner_equations, relabel
 
 __all__ = [
     "Signature",
@@ -197,22 +196,17 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     )
 
 
-def _corner_signatures(p: Params, s: int, theta: int, perms, mutation=None) -> list:
-    """Per-database signatures of corner s with message m's bits laid out by perms[m].
+def _corner_signatures(p: Params, s: int, theta: int, per_db, mutation=None) -> list:
+    """Per-database signatures of unshuffled corner-s equations.
 
-    perms[m][:cached] is message m's cache in mixture-consumption order and
-    the rest its fresh order.  `mutation`, when given, first sees the
-    unshuffled equations wrapped in a one-block QueryPlan.
+    `mutation`, when given, first sees the equations wrapped in a one-block
+    QueryPlan.
     """
-    cached = binom(p.k - 2, s - 1)
-    per_db = corner_equations(
-        p, s, theta, [perm[:cached] for perm in perms], [perm[cached:] for perm in perms]
-    )
     if mutation is not None:
         plan = QueryPlan(
             k=p.k,
             n=p.n,
-            length=len(perms[0]),
+            length=corner_message_length(p, s),
             theta=theta,
             r=corner_ratio(p, s),
             seed=None,
@@ -226,21 +220,24 @@ def _corner_signatures(p: Params, s: int, theta: int, perms, mutation=None) -> l
 def _reference_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
     """Per database, the worst share over `thetas` of draws that miss the reference.
 
-    The reference is the signature of the identity layout at desired index 0,
-    passed through `mutation` like every draw.  `draws(theta)` yields one permutation per message, laid out as
-    `_corner_signatures` takes it.  Each share is the exact total-variation
-    distance of that desired index's empirical signature distribution from
-    the reference point mass, so it is 0 on a private scheme.
+    The reference is the signature of the corner layout at desired index 0,
+    passed through `mutation` like every draw.  `draws(theta)` yields one
+    permutation per message, which relabels that index's layout.  Each share
+    is the exact total-variation distance of that desired index's empirical
+    signature distribution from the reference point mass, so it is 0 on a
+    private scheme.
     """
-    identity = [range(corner_message_length(p, s))] * p.k
-    reference = _corner_signatures(p, s, 0, identity, mutation)
+    reference = _corner_signatures(p, s, 0, corner_equations(p, s, 0), mutation)
     worst = [Fraction(0)] * p.n
     for theta in thetas:
+        layout = corner_equations(p, s, theta)
         total = 0
         misses = [0] * p.n
         for perms in draws(theta):
             total += 1
-            for db, sig in enumerate(_corner_signatures(p, s, theta, perms, mutation)):
+            for db, sig in enumerate(
+                _corner_signatures(p, s, theta, relabel(layout, perms), mutation)
+            ):
                 misses[db] += sig != reference[db]
         worst = [max(w, Fraction(miss, total)) for w, miss in zip(worst, misses)]
     return tuple(worst)

@@ -33,7 +33,7 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import CacheState, DecodeError, MessageStore, Transcript, retrieve
-from .scheme import QueryPlan
+from .scheme import QueryPlan, split_for_ratio
 
 CURVE_HEADER = (
     "r,r_exact,outer,outer_exact,inner,inner_exact,"
@@ -94,11 +94,13 @@ def transcript_to_dict(t: Transcript) -> dict:
 
 
 def transcript_from_dict(data: dict) -> Transcript:
-    """Rebuild a transcript and check the file's counts and cost against it.
+    """Rebuild a transcript and check the file's recorded values against it.
 
-    A missing key, a wrong type, answers that do not match the queries, or
-    recorded counts or cost that differ from the ones the queries give all
-    raise ValueError.
+    A missing key, a wrong type, answers, cached values or decoded bits that
+    are not 0/1, answers that do not match the queries, a decoded message
+    that is not `length` bits, or recorded counts, cost, length or blocks
+    that differ from the ones the queries and the ratio give all raise
+    ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -126,21 +128,28 @@ def transcript_from_dict(data: dict) -> Transcript:
             length=length,
             bits=tuple(int(w, 16) for w in data["messages"]),
         )
+        decoded = data["decoded"]
+        if len(decoded) != length or set(decoded) - {0, 1}:
+            raise ValueError(f"transcript decoded must hold {length} bits, each 0 or 1")
         t = Transcript(
             plan=plan,
             answers=tuple(tuple(a) for a in data["answers"]),
-            decoded=sum(bit << j for j, bit in enumerate(data["decoded"])),
+            decoded=sum(bit << j for j, bit in enumerate(decoded)),
             store=store,
             cache=cache,
         )
+        split = split_for_ratio(params, plan.r)
         for key, recorded, derived in (
             ("per_db_downloads", tuple(data["per_db_downloads"]), plan.downloads_per_db),
             ("total_downloads", data["total_downloads"], plan.total_downloads),
             ("cost", Fraction(data["cost"]), t.cost),
+            ("length", length, split.total_length),
+            ("blocks", plan.blocks, split.blocks),
         ):
             if recorded != derived:
                 raise ValueError(
-                    f"transcript {key} {recorded} disagrees with its queries ({derived})"
+                    f"transcript {key} {recorded} disagrees with its queries "
+                    f"and ratio ({derived})"
                 )
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed transcript: {err!r}") from err

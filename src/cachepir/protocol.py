@@ -75,6 +75,8 @@ class CacheState:
         for idx, vals in zip(self.indices, self.values):
             if len(idx) != len(vals):
                 raise ValueError("cached values misaligned with cached indices")
+            if set(vals) - {0, 1}:
+                raise ValueError("cached values must be bits (0 or 1)")
             if any(not 0 <= i < self.length for i in idx):
                 raise ValueError("cached index outside message length")
             if len(set(idx)) != len(idx):
@@ -221,6 +223,8 @@ class Transcript:
     def __post_init__(self) -> None:
         if tuple(len(a) for a in self.answers) != self.plan.downloads_per_db:
             raise ValueError("answer lengths do not match the plan's queries per database")
+        if any(set(a) - {0, 1} for a in self.answers):
+            raise ValueError("answers must be bits (0 or 1)")
 
     @property
     def params(self) -> Params:

@@ -1,29 +1,32 @@
 """Query-plan construction for the cache-aided retrieval scheme.
 
-A corner plan is built in rounds: round i downloads GF(2) sums touching
-exactly i distinct messages.  The opening round (i = s+1) pairs one fresh
-uncached desired bit with a mixture of s cached bits, one mixture per
-s-subset of the undesired messages, and the same mixtures are reused at
-every database.  Message symmetry then adds, per database, one fresh
-undesired sum per (s+1)-subset of the undesired messages.  Every later
-round reuses, verbatim, each undesired sum the *other* databases produced in
-the previous round, topped with a fresh desired bit, and re-symmetrizes with
-fresh undesired sums.  Finally each database's query list is shuffled
-uniformly.
+A corner scheme is one fixed query table, its *layout*, built in rounds:
+round i downloads GF(2) sums touching exactly i distinct messages.  The
+opening round (i = s+1) pairs one fresh uncached desired bit with a mixture
+of s cached bits, one mixture per s-subset of the undesired messages, and
+the same mixtures are reused at every database.  Message symmetry then adds,
+per database, one fresh undesired sum per (s+1)-subset of the undesired
+messages.  Every later round reuses, verbatim, each undesired sum the
+*other* databases produced in the previous round, topped with a fresh
+desired bit, and re-symmetrizes with fresh undesired sums.  In the layout,
+each message's first binom(k-2, s-1) bits are its cached ones, in mixture
+order, and the rest its uncached ones, in consumption order; a plan renames
+them by a uniform permutation per message (`relabel`) and finally shuffles
+each database's query list.
 
 Every rational caching ratio is served by memory-sharing: the message is
-split into blocks, each handled by one of the two corner schemes enclosing
-the ratio (past the last corner, blocks are single fully-cached bits that
-need no queries at all).  A corner ratio is the one-block case of the same
-split, so `compose_plans` is the only plan builder and `build_corner_plan`
-is a name for it at r = r_s.
+split into blocks, each a relabeled copy of one of the two corner layouts
+enclosing the ratio (past the last corner, blocks are single fully-cached
+bits that need no queries at all).  A corner ratio is the one-block case of
+the same split, so `compose_plans` is the only plan builder and
+`build_corner_plan` is a name for it at r = r_s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import lcm
 
 from .bounds import (
@@ -51,6 +54,7 @@ __all__ = [
     "SplitSpec",
     "round_profile",
     "corner_equations",
+    "relabel",
     "build_corner_plan",
     "split_for_ratio",
     "compose_plans",
@@ -136,42 +140,23 @@ class QueryPlan:
         return sum(self.downloads_per_db)
 
 
-def corner_equations(
-    p: Params,
-    s: int,
-    theta: int,
-    cached_order: list[list[int]],
-    fresh_order: list[list[int]],
-) -> list[list[Equation]]:
-    """Unshuffled per-database equations of corner s over explicit bit orders.
+def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
+    """Unshuffled per-database equations of corner s over its identity layout.
 
-    `cached_order[m]` lists message m's cached bit indices in mixture
-    consumption order and `fresh_order[m]` its uncached indices in
-    fresh-consumption order; the caller owns the randomization of both.  The
-    returned lists are in generation order (round by round, desired sums
-    before undesired ones); privacy additionally requires shuffling them.
+    Message m's cached bits are 0..c-1, c = binom(k-2, s-1), consumed in
+    mixture order, and its uncached bits c..L(s)-1, consumed in order.  A
+    block or an audit draw is this layout under `relabel`.  The returned
+    lists are in generation order (round by round, desired sums before
+    undesired ones); privacy additionally requires shuffling them.
     """
     _check_s(p, s)
     _check_theta(p.k, theta)
-    cached = binom(p.k - 2, s - 1)
-    length = corner_message_length(p, s)
-    if any(len(order) != cached for order in cached_order):
-        raise ContractViolation(
-            f"corner s={s} needs exactly {cached} cached bits per message"
-        )
-    if any(len(order) != length - cached for order in fresh_order):
-        raise ContractViolation(
-            f"corner s={s} needs exactly {length - cached} uncached bits per message"
-        )
-
     others = [m for m in range(p.k) if m != theta]
-    pools = [iter(order) for order in cached_order]
-    cursor = [0] * p.k
+    cached = [count() for _ in range(p.k)]
+    fresh = [count(binom(p.k - 2, s - 1)) for _ in range(p.k)]
 
     def take(m: int) -> BitRef:
-        ref = (m, fresh_order[m][cursor[m]])
-        cursor[m] += 1
-        return ref
+        return (m, next(fresh[m]))
 
     per_db: list[list[Equation]] = [[] for _ in range(p.n)]
 
@@ -179,7 +164,7 @@ def corner_equations(
     # verbatim by all databases; each database tops each mixture with its own
     # fresh desired bit.
     mixtures = [
-        frozenset((m, next(pools[m])) for m in subset)
+        frozenset((m, next(cached[m])) for m in subset)
         for subset in combinations(others, s)
     ]
     for db in range(p.n):
@@ -219,6 +204,15 @@ def corner_equations(
     expected = corner_download_total(p, s) // p.n
     assert all(len(eqs) == expected for eqs in per_db)
     return per_db
+
+
+def relabel(per_db, perms) -> list[list[Equation]]:
+    """Rename every bit (m, j) of a layout to (m, perms[m][j]).
+
+    Each renamed bit is one tuple shared by every equation naming it.
+    """
+    names = [[(m, j) for j in perm] for m, perm in enumerate(perms)]
+    return [[frozenset(names[m][j] for m, j in eq) for eq in eqs] for eqs in per_db]
 
 
 def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:
@@ -262,20 +256,21 @@ class SplitSpec:
         return self.s + 1 if self.s + 1 <= self.k - 1 else None
 
     @property
+    def blocks(self) -> tuple[tuple[int | None, int], ...]:
+        """Non-empty (corner, block count) pairs, low corner first; None is filler."""
+        return tuple(
+            (corner, size)
+            for corner, size in (
+                (self.s, self.low_blocks),
+                (self.high_corner, self.high_blocks),
+            )
+            if size
+        )
+
+    @property
     def cached_per_message(self) -> int:
         p = Params(self.k, self.n)
-        _, low_c = _block_geometry(p, self.s)
-        _, high_c = _block_geometry(p, self.high_corner)
-        return self.low_blocks * low_c + self.high_blocks * high_c
-
-    def block_layout(self) -> list[tuple[int | None, int, int]]:
-        """Unrolled (corner, length, cached) triple per block."""
-        p = Params(self.k, self.n)
-        low_len, low_c = _block_geometry(p, self.s)
-        high_len, high_c = _block_geometry(p, self.high_corner)
-        layout = [(self.s, low_len, low_c)] * self.low_blocks
-        layout += [(self.high_corner, high_len, high_c)] * self.high_blocks
-        return layout
+        return sum(size * _block_geometry(p, corner)[1] for corner, size in self.blocks)
 
 
 def split_for_ratio(p: Params, r) -> SplitSpec:
@@ -308,12 +303,15 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
 
 
 def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
-    """Concatenate independent corner plans over disjoint bit ranges for ratio r.
+    """Concatenate relabeled corner layouts over disjoint bit ranges for ratio r.
 
-    The cache's indices are dealt (in seeded random order) to the blocks of
-    the split, each block getting exactly its corner's cached quota; the
-    combined per-database query list is shuffled once at the end.  A ratio
-    hitting a corner is the one-block case, and r = 1 returns an empty plan.
+    Each corner of the split builds its layout once.  The cache's indices
+    and the uncached ones are dealt, in seeded random order, to the blocks:
+    a block takes its corner's cached quota, then its uncached bits, and is
+    the layout relabeled by that permutation.  Fully-cached filler blocks
+    come last and own no queries, so they are never walked.  The combined
+    per-database query list is shuffled once at the end.  A ratio hitting a
+    corner is the one-block case, and r = 1 returns an empty plan.
     """
     _check_theta(p.k, theta)
     r = Fraction(r)
@@ -329,46 +327,31 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
             f"cache has {cache.bits_per_message}"
         )
 
-    cached_pool = []
-    fresh_pool = []
+    dealt = []
     for m in range(p.k):
         held = list(cache.indices[m])
         derive_rng(seed, "deal-cached", m).shuffle(held)
-        cached_pool.append(held)
-        held_set = set(cache.indices[m])
+        held_set = set(held)
         rest = [i for i in range(split.total_length) if i not in held_set]
         derive_rng(seed, "deal-fresh", m).shuffle(rest)
-        fresh_pool.append(rest)
+        dealt.append((iter(held), iter(rest)))
 
     per_db: list[list[Equation]] = [[] for _ in range(p.n)]
-    taken_cached = [0] * p.k
-    taken_fresh = [0] * p.k
-    for block_s, block_len, block_cached in split.block_layout():
-        cached_order = []
-        fresh_order = []
-        for m in range(p.k):
-            lo = taken_cached[m]
-            cached_order.append(cached_pool[m][lo : lo + block_cached])
-            taken_cached[m] += block_cached
-            lo = taken_fresh[m]
-            fresh_order.append(fresh_pool[m][lo : lo + block_len - block_cached])
-            taken_fresh[m] += block_len - block_cached
-        if block_s is None:
-            continue  # fully cached: nothing to download
-        block_eqs = corner_equations(p, block_s, theta, cached_order, fresh_order)
-        for db in range(p.n):
-            per_db[db].extend(block_eqs[db])
+    for corner, size in split.blocks:
+        if corner is None:
+            break  # fully-cached filler comes last and downloads nothing
+        length, quota = _block_geometry(p, corner)
+        layout = corner_equations(p, corner, theta)
+        for _ in range(size):
+            perms = [
+                [*islice(held, quota), *islice(rest, length - quota)]
+                for held, rest in dealt
+            ]
+            for db, eqs in enumerate(relabel(layout, perms)):
+                per_db[db].extend(eqs)
 
     for db in range(p.n):
         derive_rng(seed, "shuffle", db).shuffle(per_db[db])
-    blocks = tuple(
-        (corner, count)
-        for corner, count in (
-            (split.s, split.low_blocks),
-            (split.high_corner, split.high_blocks),
-        )
-        if count
-    )
     return QueryPlan(
         k=p.k,
         n=p.n,
@@ -376,6 +359,6 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
         theta=theta,
         r=r,
         seed=seed,
-        blocks=blocks,
+        blocks=split.blocks,
         per_db=tuple(tuple(eqs) for eqs in per_db),
     )

@@ -1,7 +1,6 @@
 """Audit instruments: rank checks, cost reconciliation, privacy signatures."""
 
 import dataclasses
-import random
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -18,6 +17,7 @@ from cachepir import (
     enumerate_privacy,
     montecarlo_privacy,
     plan_signature,
+    relabel,
     retrieve,
     skip_message_symmetry,
     sort_queries,
@@ -232,30 +232,25 @@ def test_enumeration_catches_leak():
     assert per_db == (1, 1)
 
 
-@pytest.mark.parametrize("k,n,s", [(3, 2, 1), (4, 3, 1), (5, 2, 2)])
-def test_draw_relabels_identity_layout(k, n, s):
-    # The exact verdict rests on this: a draw's equations are the identity
-    # layout's with message m's bit j renamed perm[m][j], a renaming
-    # plan_signature cannot see.
+@pytest.mark.parametrize(
+    "k,n,s", [(2, 2, 1), (3, 2, 1), (4, 3, 1), (4, 2, 3), (5, 2, 2), (5, 3, 0)]
+)
+def test_layout_bit_budget(k, n, s):
+    # Every block and every audit draw relabels this layout, so it must fit
+    # the message exactly: bits in range, each desired bit from the uncached
+    # range downloaded once, and cached bits used only as mixtures beside a
+    # desired bit.
     p = Params(k, n)
     length = corner_message_length(p, s)
     cached = binom(k - 2, s - 1)
-    identity = [range(length)] * k
-    rng = random.Random(f"relabel-{k}-{n}-{s}")
-    for theta in (0, k - 1):
-        base = corner_equations(
-            p, s, theta, [o[:cached] for o in identity], [o[cached:] for o in identity]
-        )
-        for _ in range(3):
-            perms = [rng.sample(range(length), length) for _ in range(k)]
-            drawn = corner_equations(
-                p, s, theta, [o[:cached] for o in perms], [o[cached:] for o in perms]
-            )
-            relabeled = [
-                [frozenset((m, perms[m][j]) for m, j in eq) for eq in eqs]
-                for eqs in base
-            ]
-            assert drawn == relabeled
+    for theta in range(k):
+        eqs = [eq for db_eqs in corner_equations(p, s, theta) for eq in db_eqs]
+        assert all(0 <= j < length for eq in eqs for _, j in eq)
+        desired = sorted(j for eq in eqs for m, j in eq if m == theta)
+        assert desired == list(range(cached, length))
+        for eq in eqs:
+            if any(j < cached for _, j in eq):
+                assert len(eq) == s + 1 and any(m == theta for m, _ in eq)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +266,9 @@ def test_montecarlo_privacy_smoke():
 
 @pytest.mark.parametrize("k,n,s", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 2)])
 def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
-    # The Monte-Carlo audit never builds a plan: it signs corner_equations
-    # over one permutation per message.  Those must be the signatures of the
-    # plans retrieve actually ships at that corner.
+    # The Monte-Carlo audit never builds a plan: it signs the corner layout
+    # relabeled by one permutation per message.  Those must be the signatures
+    # of the plans retrieve actually ships at that corner.
     p = Params(k, n)
     length = corner_message_length(p, s)
     seed = 31
@@ -282,7 +277,7 @@ def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
         rng = derive_rng(seed, "mc", theta)
         perms = [rng.sample(range(length), length) for _ in range(k)]
         assert [plan_signature(eqs) for eqs in shipped.per_db] == _corner_signatures(
-            p, s, theta, perms
+            p, s, theta, relabel(corner_equations(p, s, theta), perms)
         )
 
 

@@ -155,8 +155,25 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
         lambda d: d.update(total_downloads=d["total_downloads"] + 1),
         lambda d: d.update(cost="9/7"),
         lambda d: d["answers"][0].pop(),
+        lambda d: d.update(blocks=[[2, 1]]),
+        lambda d: d.update(length=14, cost="4/7", decoded=d["decoded"] * 2),
+        lambda d: d["answers"][0].__setitem__(0, 5),
+        lambda d: d["cache"]["values"][0].__setitem__(0, 3),
+        lambda d: d["decoded"].__setitem__(0, 2),
+        lambda d: d["decoded"].pop(),
     ],
-    ids=["per_db_downloads", "total_downloads", "cost", "short-answers"],
+    ids=[
+        "per_db_downloads",
+        "total_downloads",
+        "cost",
+        "short-answers",
+        "blocks",
+        "length",
+        "answer-bit",
+        "cached-bit",
+        "decoded-bit",
+        "short-decoded",
+    ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
     data = transcript_to_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))

@@ -282,7 +282,7 @@ def test_split_full_cache():
     split = split_for_ratio(Params(3, 2), 1)
     assert split.total_length == 1
     assert split.cached_per_message == 1
-    assert split.block_layout() == [(None, 1, 1)]
+    assert split.blocks == ((None, 1),)
 
 
 @given(
@@ -302,6 +302,11 @@ def test_split_invariants(k, n, r):
     assert (1 - split.alpha) * split.total_length == split.high_blocks * high_len
     assert r == split.alpha * corner_ratio(p, split.s) + (1 - split.alpha) * high_ratio
     assert split.cached_per_message == r * split.total_length
+    assert split.blocks == tuple(
+        (corner, size)
+        for corner, size in ((split.s, split.low_blocks), (high, split.high_blocks))
+        if size
+    )
 
 
 def run_composed(k, n, r, theta=0, seed=0):
