@@ -2,7 +2,14 @@
 
 Decodability is double-checked: the decoder is re-run, and independently the
 GF(2) span of {downloaded equations} ∪ {cached-bit unit vectors} must contain
-every unit vector of the desired message.  Costs are reconciled exactly
+every unit vector of the desired message.  The span is found by sparse
+elimination over the plan's own equations, each a set of bit references,
+with the largest reference as pivot; any total order on bits gives a valid
+echelon basis, and rows are only combined when they share a pivot bit, so no
+row ever grows past the connected component of the equation/bit incidence
+graph it came from.  Every such component of a composed plan lies inside one
+memory-sharing block, so the check is linear in the message length, and it
+reads no plan metadata.  Costs are reconciled exactly
 against the bounds module.  Privacy is audited on per-database *signatures*:
 the canonical form of a query list with bit identities erased but message
 identities and bit-reuse structure kept.  Under the uniform per-message index
@@ -99,11 +106,11 @@ class PrivacyReport:
     detail: str = ""
 
 
-def _span_basis(rows: list[int]) -> dict[int, int]:
-    basis: dict[int, int] = {}
+def _span_basis(rows: list[frozenset]) -> dict[tuple, frozenset]:
+    basis: dict[tuple, frozenset] = {}
     for row in rows:
         while row:
-            pivot = row.bit_length() - 1
+            pivot = max(row)
             if pivot in basis:
                 row ^= basis[pivot]
             else:
@@ -112,9 +119,9 @@ def _span_basis(rows: list[int]) -> dict[int, int]:
     return basis
 
 
-def _in_span(vec: int, basis: dict[int, int]) -> bool:
+def _in_span(vec: frozenset, basis: dict[tuple, frozenset]) -> bool:
     while vec:
-        pivot = vec.bit_length() - 1
+        pivot = max(vec)
         if pivot not in basis:
             return False
         vec ^= basis[pivot]
@@ -127,7 +134,11 @@ def verify_decodability(t: Transcript) -> bool:
     True iff re-running the decoder reproduces the stored desired message
     bit-for-bit AND the span of the downloaded equations together with all
     cached-bit unit vectors contains every unit vector of the desired
-    message.
+    message.  Rows are the equations' reference sets as they are, plus one
+    singleton per cached bit, and are reduced by symmetric difference on their
+    largest reference; a reduced row never leaves its component of the
+    equation/bit incidence graph, so the work is linear in the plan size and
+    an out-of-range reference cannot alias another message's bit.
     """
     try:
         redecoded = decode(t.plan, [list(a) for a in t.answers], t.cache)
@@ -136,20 +147,13 @@ def verify_decodability(t: Transcript) -> bool:
     if redecoded != t.decoded or redecoded != t.store.bits[t.plan.theta]:
         return False
 
-    length = t.length
-    rows = [
-        sum(1 << (m * length + j) for m, j in eq)
-        for eqs in t.plan.per_db
-        for eq in eqs
-    ]
+    rows = [eq for eqs in t.plan.per_db for eq in eqs]
     rows.extend(
-        1 << (m * length + j)
-        for m in range(t.params.k)
-        for j in t.cache.indices[m]
+        frozenset({(m, j)}) for m in range(t.params.k) for j in t.cache.indices[m]
     )
     basis = _span_basis(rows)
-    offset = t.plan.theta * length
-    return all(_in_span(1 << (offset + j), basis) for j in range(length))
+    theta = t.plan.theta
+    return all(_in_span(frozenset({(theta, j)}), basis) for j in range(t.length))
 
 
 def verify_cost(t: Transcript) -> bool:

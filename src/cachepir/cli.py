@@ -32,7 +32,7 @@ from .bounds import (
     inner_corner,
     worst_case_gap,
 )
-from .protocol import CacheState, DecodeError, MessageStore, Transcript, retrieve
+from .protocol import CacheState, DecodeError, MessageStore, Transcript, pack_bits, retrieve
 from .scheme import QueryPlan, split_for_ratio
 
 CURVE_HEADER = (
@@ -97,10 +97,10 @@ def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript and check the file's recorded values against it.
 
     A missing key, a wrong type, answers, cached values or decoded bits that
-    are not 0/1, answers that do not match the queries, a decoded message
-    that is not `length` bits, or recorded counts, cost, length or blocks
-    that differ from the ones the queries and the ratio give all raise
-    ValueError.
+    are not 0/1, a bit reference outside range(k) × range(length), answers
+    that do not match the queries, a decoded message that is not `length`
+    bits, or recorded counts, cost, length or blocks that differ from the
+    ones the queries and the ratio give all raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -118,6 +118,14 @@ def transcript_from_dict(data: dict) -> Transcript:
                 for eqs in data["per_db"]
             ),
         )
+        for eqs in plan.per_db:
+            for eq in eqs:
+                for m, b in eq:
+                    if not (0 <= m < params.k and 0 <= b < length):
+                        raise ValueError(
+                            f"transcript bit reference ({m}, {b}) outside "
+                            f"{params.k} messages of {length} bits"
+                        )
         cache = CacheState(
             length=length,
             indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
@@ -134,7 +142,7 @@ def transcript_from_dict(data: dict) -> Transcript:
         t = Transcript(
             plan=plan,
             answers=tuple(tuple(a) for a in data["answers"]),
-            decoded=sum(bit << j for j, bit in enumerate(decoded)),
+            decoded=pack_bits(decoded),
             store=store,
             cache=cache,
         )

@@ -21,6 +21,8 @@ from .scheme import ContractViolation, Equation, QueryPlan, compose_plans, split
 __all__ = [
     "MessageStore",
     "CacheState",
+    "pack_bits",
+    "unpack_bits",
     "Transcript",
     "DecodeError",
     "random_store",
@@ -47,6 +49,20 @@ class MessageStore:
 
     def bit(self, m: int, j: int) -> int:
         return (self.bits[m] >> j) & 1
+
+
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def unpack_bits(word: int, length: int) -> bytes:
+    """The `length` low bits of `word`, least significant first, one 0/1 byte each."""
+    return format(word, f"0{length}b").encode()[::-1].translate(_FROM_DIGITS)
+
+
+def pack_bits(bits) -> int:
+    """Inverse of `unpack_bits`: 0/1 values, least significant first, as one int."""
+    return int(bytes(bits)[::-1].translate(_TO_DIGITS), 2)
 
 
 def random_store(k: int, length: int, seed) -> MessageStore:
@@ -105,8 +121,9 @@ def prefetch(store: MessageStore, bits_per_message: int, seed) -> CacheState:
     for m in range(store.count):
         rng = derive_rng(seed, "cache", m)
         chosen = tuple(sorted(rng.sample(range(store.length), bits_per_message)))
+        message = unpack_bits(store.bits[m], store.length)
         indices.append(chosen)
-        values.append(tuple(store.bit(m, j) for j in chosen))
+        values.append(tuple(message[j] for j in chosen))
     return CacheState(length=store.length, indices=tuple(indices), values=tuple(values))
 
 
@@ -117,13 +134,14 @@ def answer(store: MessageStore, equations: list[Equation]) -> list[int]:
     computation, and by taking no cache and no desired index it cannot leak
     what it never sees.
     """
+    messages = [unpack_bits(w, store.length) for w in store.bits]
     out = []
     for eq in equations:
         acc = 0
         for m, j in eq:
             if not (0 <= m < store.count and 0 <= j < store.length):
                 raise ContractViolation(f"bit reference ({m}, {j}) out of range")
-            acc ^= (store.bits[m] >> j) & 1
+            acc ^= messages[m][j]
         out.append(acc)
     return out
 
@@ -197,12 +215,13 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
             raise DecodeError("conflicting recoveries for desired bit", db=db, equation=eq)
         recovered[j] = bit
 
-    if len(recovered) != plan.length:
+    wanted = range(plan.length)
+    if recovered.keys() != set(wanted):
         raise DecodeError(
             "desired bits unrecovered",
-            missing=sorted(set(range(plan.length)) - recovered.keys()),
+            missing=sorted(set(wanted) - recovered.keys()),
         )
-    return sum(bit << j for j, bit in recovered.items())
+    return pack_bits([recovered[j] for j in wanted])
 
 
 @dataclass(frozen=True)
@@ -239,7 +258,7 @@ class Transcript:
         return Fraction(self.plan.total_downloads, self.length)
 
     def decoded_bits(self) -> list[int]:
-        return [(self.decoded >> j) & 1 for j in range(self.length)]
+        return list(unpack_bits(self.decoded, self.length))
 
 
 MAX_SIMULATED_BITS = 2**22

@@ -1,6 +1,7 @@
 """Audit instruments: rank checks, cost reconciliation, privacy signatures."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -8,6 +9,7 @@ import pytest
 
 from cachepir import (
     Params,
+    answer,
     bias_mixture_assignment,
     binom,
     corner_equations,
@@ -25,12 +27,42 @@ from cachepir import (
     verify_cost,
     verify_decodability,
 )
-from cachepir.audit import _corner_signatures, _reference_distance
+from cachepir.audit import _corner_signatures, _in_span, _reference_distance, _span_basis
 from cachepir.rng import derive_rng
 
 
 def tampered(t, **changes):
     return dataclasses.replace(t, **changes)
+
+
+def dense_rank_check(t):
+    """Reference rank verdict over dense rows: one k·L-bit int per equation."""
+    length = t.length
+    rows = [sum(1 << (m * length + j) for m, j in eq) for eqs in t.plan.per_db for eq in eqs]
+    rows.extend(
+        1 << (m * length + j) for m in range(t.params.k) for j in t.cache.indices[m]
+    )
+    basis = {}
+    for row in rows:
+        while row and row.bit_length() - 1 in basis:
+            row ^= basis[row.bit_length() - 1]
+        if row:
+            basis[row.bit_length() - 1] = row
+
+    def in_span(vec):
+        while vec and vec.bit_length() - 1 in basis:
+            vec ^= basis[vec.bit_length() - 1]
+        return not vec
+
+    return all(in_span(1 << (t.plan.theta * length + j)) for j in range(length))
+
+
+def sparse_rank_check(t):
+    """The rank verdict alone, on the rows `verify_decodability` builds."""
+    rows = [eq for eqs in t.plan.per_db for eq in eqs]
+    rows.extend(frozenset({(m, j)}) for m in range(t.params.k) for j in t.cache.indices[m])
+    basis = _span_basis(rows)
+    return all(_in_span(frozenset({(t.plan.theta, j)}), basis) for j in range(t.length))
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +110,14 @@ def test_verify_composed_random_ratios():
             assert verify_cost(t), (k, n, r)
 
 
-def test_verify_decodability_catches_flipped_answer():
+def flipped_answer():
     t = retrieve(Params(3, 2), 0, F(1, 7), 1)
     flipped = [list(a) for a in t.answers]
     flipped[0][0] ^= 1
-    bad = tampered(t, answers=tuple(tuple(a) for a in flipped))
-    assert not verify_decodability(bad)
+    return tampered(t, answers=tuple(tuple(a) for a in flipped))
 
 
-def test_verify_decodability_catches_deleted_equation():
+def deleted_equation():
     t = retrieve(Params(3, 2), 0, F(1, 7), 2)
     eqs = [list(e) for e in t.plan.per_db]
     answers = [list(a) for a in t.answers]
@@ -94,11 +125,10 @@ def test_verify_decodability_catches_deleted_equation():
     del eqs[0][drop]
     del answers[0][drop]
     plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
-    bad = tampered(t, plan=plan, answers=tuple(tuple(a) for a in answers))
-    assert not verify_decodability(bad)
+    return tampered(t, plan=plan, answers=tuple(tuple(a) for a in answers))
 
 
-def test_rank_check_sees_what_decoder_misses():
+def swapped_reference():
     # swap one desired bit reference for an already-used one: the plan still
     # decodes *something* per equation, but the span loses a unit vector
     t = retrieve(Params(3, 2), 0, F(1, 7), 3)
@@ -113,11 +143,64 @@ def test_rank_check_sees_what_decoder_misses():
     dst_ref = next(ref for ref in target if ref[0] == 0)
     eqs[1][target_idx] = (target - {dst_ref}) | {src_ref}
     plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
-    from cachepir import answer
-
     answers = tuple(tuple(answer(t.store, list(e))) for e in plan.per_db)
-    bad = tampered(t, plan=plan, answers=answers)
-    assert not verify_decodability(bad)
+    return tampered(t, plan=plan, answers=answers)
+
+
+def test_verify_decodability_catches_flipped_answer():
+    assert not verify_decodability(flipped_answer())
+
+
+def test_verify_decodability_catches_deleted_equation():
+    assert not verify_decodability(deleted_equation())
+
+
+def test_rank_check_sees_what_decoder_misses():
+    assert not verify_decodability(swapped_reference())
+
+
+@pytest.mark.parametrize(
+    "make,decodable,spanned",
+    [
+        (lambda: retrieve(Params(3, 2), 0, F(1, 7), 1), True, True),
+        (lambda: retrieve(Params(4, 3), 2, corner_ratio(Params(4, 3), 2), 4), True, True),
+        (lambda: retrieve(Params(5, 2), 4, corner_ratio(Params(5, 2), 0), 5), True, True),
+        (lambda: retrieve(Params(3, 2), 1, F(1, 5), 6), True, True),
+        (lambda: retrieve(Params(4, 2), 3, F(3, 50), 7), True, True),
+        (lambda: retrieve(Params(3, 3), 2, F(5, 6), 8), True, True),
+        # the rank check cannot see answer bits, only the decoder can
+        (flipped_answer, False, True),
+        (deleted_equation, False, False),
+        (swapped_reference, False, False),
+    ],
+    ids=["corner-3-2", "corner-4-3", "corner-5-2", "composed-3-2", "composed-4-2",
+         "filler-3-3", "flipped-answer", "deleted-equation", "swapped-reference"],
+)
+def test_rank_check_agrees_with_dense_reference(make, decodable, spanned):
+    t = make()
+    assert sparse_rank_check(t) == dense_rank_check(t) == spanned
+    assert verify_decodability(t) == decodable
+
+
+def test_span_helpers_control():
+    a, b, c = (0, 0), (0, 1), (1, 0)
+    basis = _span_basis([frozenset({a, b}), frozenset({b, c})])
+    assert _in_span(frozenset({a, c}), basis)
+    assert not _in_span(frozenset({a}), basis)
+
+
+def test_rank_check_memory_stays_small():
+    # Dense rows of k·L bits peaked near 250 MiB here; sparse rows stay
+    # inside their memory-sharing block.
+    t = retrieve(Params(4, 2), 0, F(1, 1000), 1)
+    assert t.length == 16000
+    tracemalloc.start()
+    try:
+        assert verify_decodability(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

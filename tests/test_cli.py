@@ -148,6 +148,15 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     assert t.cost == F(8, 7)
 
 
+def rename_bit(data, old, new):
+    """Rename one bit reference in every equation of a transcript dict."""
+    for eqs in data["per_db"]:
+        for eq in eqs:
+            for ref in eq:
+                if ref == old:
+                    ref[:] = new
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -161,6 +170,7 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
         lambda d: d["cache"]["values"][0].__setitem__(0, 3),
         lambda d: d["decoded"].__setitem__(0, 2),
         lambda d: d["decoded"].pop(),
+        lambda d: rename_bit(d, [1, 4], [1, 12]),
     ],
     ids=[
         "per_db_downloads",
@@ -173,6 +183,7 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
         "cached-bit",
         "decoded-bit",
         "short-decoded",
+        "bit-out-of-range",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):

@@ -4,6 +4,8 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachepir import (
     CacheState,
@@ -12,6 +14,7 @@ from cachepir import (
     MessageStore,
     Params,
     QueryPlan,
+    Transcript,
     answer,
     corner_message_length,
     corner_ratio,
@@ -21,7 +24,7 @@ from cachepir import (
     retrieve,
     split_for_ratio,
 )
-from cachepir.protocol import MAX_SIMULATED_BITS
+from cachepir.protocol import MAX_SIMULATED_BITS, pack_bits, unpack_bits
 
 
 def test_store_validation():
@@ -80,6 +83,65 @@ def test_answer_is_pure_and_range_checked():
         answer(store, [frozenset({(0, 7)})])
     with pytest.raises(ContractViolation):
         answer(store, [frozenset({(3, 0)})])
+
+
+def reference_bits(word, length):
+    return [(word >> j) & 1 for j in range(length)]
+
+
+words = st.integers(1, 200).flatmap(
+    lambda length: st.tuples(st.just(length), st.integers(0, (1 << length) - 1))
+)
+
+
+@given(words)
+@example((1, 0))
+@example((1, 1))
+@example((9, 0b000000011))
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_roundtrip(case):
+    length, word = case
+    bits = unpack_bits(word, length)
+    assert list(bits) == reference_bits(word, length)
+    assert pack_bits(bits) == word
+    assert pack_bits(list(bits)) == word
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 150),
+    st.integers(0, 10**6),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_data_path_matches_per_bit_reference(k, length, seed, data):
+    store = random_store(k, length, seed)
+    messages = [reference_bits(w, length) for w in store.bits]
+    refs = st.tuples(st.integers(0, k - 1), st.integers(0, length - 1))
+    eqs = data.draw(st.lists(st.frozensets(refs, max_size=k)))
+    expected = [sum(messages[m][j] for m, j in eq) % 2 for eq in eqs]
+    assert answer(store, eqs) == expected
+
+    cache = prefetch(store, data.draw(st.integers(0, length)), seed)
+    for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
+        assert list(vals) == [messages[m][j] for j in idx]
+
+    # every uncached desired bit downloaded raw, alternating between the
+    # two databases, so decode assembles the word from cache and answers
+    theta = data.draw(st.integers(0, k - 1))
+    raw = [frozenset({(theta, j)}) for j in range(length) if j not in cache.indices[theta]]
+    plan = QueryPlan(
+        k=k, n=2, length=length, theta=theta, r=F(0), seed=seed,
+        blocks=((0, 1),), per_db=(tuple(raw[::2]), tuple(raw[1::2])),
+    )
+    answers = [answer(store, list(eqs)) for eqs in plan.per_db]
+    decoded = decode(plan, answers, cache)
+    assert decoded == store.bits[theta]
+    t = Transcript(
+        plan=plan, answers=tuple(map(tuple, answers)), decoded=decoded,
+        store=store, cache=cache,
+    )
+    assert t.decoded_bits() == messages[theta]
 
 
 def manual_two_db_plan(length, per_db, theta, r, s):
@@ -188,6 +250,25 @@ def test_decode_unrecovered_bits_reported():
         decode(plan, pruned_answers, t.cache)
     assert err.value.reason == "desired bits unrecovered"
     assert len(err.value.missing) == 1
+
+
+def test_decode_refuses_out_of_range_desired_bit():
+    # (0, 5) renamed (0, 7) in a length-7 table: as many bits are recovered
+    # as the message holds, but bit 5 is not among them.
+    store = random_store(3, 7, 99)
+    cache = CacheState(
+        length=7,
+        indices=((0,), (0,), (0,)),
+        values=tuple((store.bit(m, 0),) for m in range(3)),
+    )
+    db1 = [{(0, 1), (1, 0)}, {(0, 2), (2, 0)}, {(1, 1), (2, 1)}, {(0, 7), (1, 2), (2, 2)}]
+    db2 = [{(0, 3), (1, 0)}, {(0, 4), (2, 0)}, {(1, 2), (2, 2)}, {(0, 6), (1, 1), (2, 1)}]
+    plan = manual_two_db_plan(7, [db1, db2], theta=0, r=F(1, 7), s=1)
+    answers = [[0] * 4, [0] * 4]
+    with pytest.raises(DecodeError) as err:
+        decode(plan, answers, cache)
+    assert err.value.reason == "desired bits unrecovered"
+    assert err.value.missing == (5,)
 
 
 @pytest.mark.parametrize(
