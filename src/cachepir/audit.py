@@ -1,18 +1,25 @@
 """Verification instruments for transcripts and query plans.
 
-Decodability is double-checked: the decoder is re-run, and independently the
-GF(2) span of {downloaded equations} ∪ {cached-bit unit vectors} must contain
-every unit vector of the desired message.  The span is found by sparse
-elimination over the plan's own equations, each a set of bit references,
-with the largest reference as pivot; any total order on bits gives a valid
-echelon basis, and rows are only combined when they share a pivot bit, so no
-row ever grows past the connected component of the equation/bit incidence
-graph it came from.  Every such component of a composed plan lies inside one
-memory-sharing block, so the check is linear in the message length, and it
-reads no plan metadata.  Costs are reconciled exactly
-against the bounds module.  Privacy is audited on per-database *signatures*:
-the canonical form of a query list with bit identities erased but message
-identities and bit-reuse structure kept.  Under the uniform per-message index
+Decodability is decided by re-running the decoder.  On a transcript that
+decodes, a GF(2) rank check follows as a redundant cross-check: the span of
+{downloaded equations} ∪ {cached-bit unit vectors} must contain every unit
+vector of the desired message.  Every bit the decoder recovers is its answer
+XOR a downloaded sum or cached bits, so a transcript that decodes exactly is
+always in the span; the check guards the decoder, and is never the only one
+to fail.  The span is found by sparse elimination with the largest bit
+reference as pivot.  The rows are the plan's own equation tuples as they
+are, plus one single-reference tuple per cached bit, and a row becomes a set
+only when it is reduced, by symmetric difference with the basis row sharing
+its pivot.  Any total order on bits gives a valid echelon basis, and rows
+are only combined when they share a pivot bit, so no row ever grows past the
+connected component of the equation/bit incidence graph it came from.  Every
+such component of a composed plan lies inside one memory-sharing block, so
+the check is linear in the message length, and it reads no plan metadata.
+Costs are reconciled exactly against the bounds module.
+
+Privacy is audited on per-database *signatures*: the canonical form of a
+query list with bit identities erased but message identities and bit-reuse
+structure kept.  Under the uniform per-message index
 permutation the raw indices are exchangeable, so the signature is the
 permutation-invariant statistic a database could actually act on.  A draw of
 the corner randomness is one permutation per message, whose head is the
@@ -79,7 +86,7 @@ def plan_signature(equations) -> Signature:
     under query reordering and per-message bit relabeling, and never reads a
     desired index.
     """
-    eqs = [tuple(sorted(eq)) for eq in equations]
+    eqs = list(equations)
     multiplicity = Counter(ref for eq in eqs for ref in eq)
     base = {ref: (ref[0], count) for ref, count in multiplicity.items()}
     eq_colors = [tuple(sorted(base[ref] for ref in eq)) for eq in eqs]
@@ -106,25 +113,26 @@ class PrivacyReport:
     detail: str = ""
 
 
-def _span_basis(rows: list[frozenset]) -> dict[tuple, frozenset]:
-    basis: dict[tuple, frozenset] = {}
+def _span_basis(rows) -> dict:
+    """Echelon basis keyed by pivot; a row is turned into a set only when reduced."""
+    basis = {}
     for row in rows:
         while row:
             pivot = max(row)
             if pivot in basis:
-                row ^= basis[pivot]
+                row = frozenset(row).symmetric_difference(basis[pivot])
             else:
                 basis[pivot] = row
                 break
     return basis
 
 
-def _in_span(vec: frozenset, basis: dict[tuple, frozenset]) -> bool:
+def _in_span(vec, basis: dict) -> bool:
     while vec:
         pivot = max(vec)
         if pivot not in basis:
             return False
-        vec ^= basis[pivot]
+        vec = frozenset(vec).symmetric_difference(basis[pivot])
     return True
 
 
@@ -134,11 +142,12 @@ def verify_decodability(t: Transcript) -> bool:
     True iff re-running the decoder reproduces the stored desired message
     bit-for-bit AND the span of the downloaded equations together with all
     cached-bit unit vectors contains every unit vector of the desired
-    message.  Rows are the equations' reference sets as they are, plus one
-    singleton per cached bit, and are reduced by symmetric difference on their
-    largest reference; a reduced row never leaves its component of the
-    equation/bit incidence graph, so the work is linear in the plan size and
-    an out-of-range reference cannot alias another message's bit.
+    message.  Rows are the plan's equation tuples as they are, plus one
+    single-reference tuple per cached bit, and are reduced by symmetric
+    difference on their largest reference; a reduced row never leaves its
+    component of the equation/bit incidence graph, so the work is linear in
+    the plan size and an out-of-range reference cannot alias another
+    message's bit.
     """
     try:
         redecoded = decode(t.plan, [list(a) for a in t.answers], t.cache)
@@ -148,12 +157,10 @@ def verify_decodability(t: Transcript) -> bool:
         return False
 
     rows = [eq for eqs in t.plan.per_db for eq in eqs]
-    rows.extend(
-        frozenset({(m, j)}) for m in range(t.params.k) for j in t.cache.indices[m]
-    )
+    rows.extend(((m, j),) for m in range(t.params.k) for j in t.cache.indices[m])
     basis = _span_basis(rows)
     theta = t.plan.theta
-    return all(_in_span(frozenset({(theta, j)}), basis) for j in range(t.length))
+    return all(_in_span(((theta, j),), basis) for j in range(t.length))
 
 
 def verify_cost(t: Transcript) -> bool:
@@ -174,14 +181,11 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     per_db = []
     violations = []
     for db, eqs in enumerate(plan.per_db):
-        census = Counter(
-            (len(eq), frozenset(m for m, _ in eq)) for eq in eqs
-        )
+        census = Counter(tuple(m for m, _ in eq) for eq in eqs)
         worst = Fraction(0)
-        for size in sorted({size for size, _ in census}):
+        for size in sorted({len(sub) for sub in census}):
             counts = [
-                census.get((size, frozenset(sub)), 0)
-                for sub in combinations(range(plan.k), size)
+                census.get(sub, 0) for sub in combinations(range(plan.k), size)
             ]
             low, high = min(counts), max(counts)
             if low != high:
@@ -373,15 +377,15 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
     for eqs in plan.per_db:
         for eq in eqs:
             if len(eq) == size and any(m == plan.theta for m, _ in eq):
-                mixtures.append(frozenset(ref for ref in eq if ref[0] != plan.theta))
-    pinned = min(mixtures, key=lambda mix: tuple(sorted(mix)))
+                mixtures.append(tuple(ref for ref in eq if ref[0] != plan.theta))
+    pinned = min(mixtures)
     per_db = []
     for eqs in plan.per_db:
         rewritten = []
         for eq in eqs:
             own = [ref for ref in eq if ref[0] == plan.theta]
             if len(eq) == size and own:
-                rewritten.append(frozenset(own) | pinned)
+                rewritten.append(tuple(sorted([*own, *pinned])))
             else:
                 rewritten.append(eq)
         per_db.append(tuple(rewritten))
@@ -394,7 +398,4 @@ def sort_queries(plan: QueryPlan) -> QueryPlan:
     Passes structural_symmetry by design (the census ignores order); it
     exists to document that boundary of the structural check.
     """
-    per_db = tuple(
-        tuple(sorted(eqs, key=lambda eq: tuple(sorted(eq)))) for eqs in plan.per_db
-    )
-    return replace(plan, per_db=per_db)
+    return replace(plan, per_db=tuple(tuple(sorted(eqs)) for eqs in plan.per_db))

@@ -77,7 +77,7 @@ def transcript_to_dict(t: Transcript) -> dict:
         "length": t.length,
         "blocks": [[s, count] for s, count in t.plan.blocks],
         "per_db": [
-            [[list(ref) for ref in sorted(eq)] for eq in eqs]
+            [[list(ref) for ref in eq] for eq in eqs]
             for eqs in t.plan.per_db
         ],
         "answers": [list(a) for a in t.answers],
@@ -96,11 +96,13 @@ def transcript_to_dict(t: Transcript) -> dict:
 def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript and check the file's recorded values against it.
 
-    A missing key, a wrong type, answers, cached values or decoded bits that
-    are not 0/1, a bit reference outside range(k) × range(length), answers
-    that do not match the queries, a decoded message that is not `length`
-    bits, or recorded counts, cost, length or blocks that differ from the
-    ones the queries and the ratio give all raise ValueError.
+    Each equation is rebuilt in canonical form, its references sorted by
+    message.  A missing key, a wrong type, answers, cached values or decoded
+    bits that are not 0/1, a bit reference outside range(k) × range(length),
+    an equation naming one message twice, answers that do not match the
+    queries, a decoded message that is not `length` bits, or recorded
+    counts, cost, length or blocks that differ from the ones the queries and
+    the ratio give all raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -114,18 +116,24 @@ def transcript_from_dict(data: dict) -> Transcript:
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
             per_db=tuple(
-                tuple(frozenset((m, b) for m, b in eq) for eq in eqs)
+                tuple(tuple(sorted((m, b) for m, b in eq)) for eq in eqs)
                 for eqs in data["per_db"]
             ),
         )
         for eqs in plan.per_db:
             for eq in eqs:
+                previous = None
                 for m, b in eq:
                     if not (0 <= m < params.k and 0 <= b < length):
                         raise ValueError(
                             f"transcript bit reference ({m}, {b}) outside "
                             f"{params.k} messages of {length} bits"
                         )
+                    if m == previous:
+                        raise ValueError(
+                            f"transcript equation {list(eq)} names message {m} twice"
+                        )
+                    previous = m
         cache = CacheState(
             length=length,
             indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),

@@ -152,7 +152,7 @@ class DecodeError(Exception):
     def __init__(self, reason: str, *, db: int | None = None, equation=None, missing=()):
         self.reason = reason
         self.db = db
-        self.equation = tuple(sorted(equation)) if equation is not None else None
+        self.equation = equation
         self.missing = tuple(missing)
         parts = [reason]
         if db is not None:
@@ -170,9 +170,11 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     Every downloaded sum without a desired-message term is side information
     whose value is its own answer bit; every sum with a desired term is
     cancelled either against cached bits or against one such side-information
-    sum appearing verbatim inside it.  Cached desired bits are copied from
-    the cache.  Structural problems (unresolvable sums, unrecovered or
-    conflicting bits) raise DecodeError rather than returning wrong content.
+    sum appearing verbatim inside it (dropping the desired term keeps the
+    equation's canonical order, so the rest is looked up as it is).  Cached
+    desired bits are copied from the cache.  Structural problems
+    (unresolvable sums, unrecovered or conflicting bits) raise DecodeError
+    rather than returning wrong content.
     """
     if len(answers) != plan.n:
         raise ContractViolation("answers do not cover every database")
@@ -198,7 +200,7 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     lookup = cache.maps()
     recovered: dict[int, int] = dict(lookup[theta])
     for db, eq, (_, j), value in desired:
-        rest = eq - {(theta, j)}
+        rest = tuple([ref for ref in eq if ref[0] != theta])  # see scheme.relabel
         if not rest:
             bit = value
         elif rest in side:

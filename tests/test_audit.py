@@ -1,6 +1,7 @@
 """Audit instruments: rank checks, cost reconciliation, privacy signatures."""
 
 import dataclasses
+import gc
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -8,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from cachepir import (
+    DecodeError,
     Params,
     answer,
     bias_mixture_assignment,
@@ -15,6 +17,7 @@ from cachepir import (
     corner_equations,
     corner_message_length,
     corner_ratio,
+    decode,
     drop_undesired_equation,
     enumerate_privacy,
     montecarlo_privacy,
@@ -129,8 +132,9 @@ def deleted_equation():
 
 
 def swapped_reference():
-    # swap one desired bit reference for an already-used one: the plan still
-    # decodes *something* per equation, but the span loses a unit vector
+    # swap one desired bit reference for an already-used one: every equation
+    # still resolves, but one desired bit is never recovered and the span
+    # loses its unit vector
     t = retrieve(Params(3, 2), 0, F(1, 7), 3)
     eqs = [list(e) for e in t.plan.per_db]
     source = next(eq for eq in eqs[0] if any(m == 0 for m, _ in eq))
@@ -141,7 +145,7 @@ def swapped_reference():
     )
     src_ref = next(ref for ref in source if ref[0] == 0)
     dst_ref = next(ref for ref in target if ref[0] == 0)
-    eqs[1][target_idx] = (target - {dst_ref}) | {src_ref}
+    eqs[1][target_idx] = tuple(src_ref if ref == dst_ref else ref for ref in target)
     plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
     answers = tuple(tuple(answer(t.store, list(e))) for e in plan.per_db)
     return tampered(t, plan=plan, answers=answers)
@@ -155,8 +159,12 @@ def test_verify_decodability_catches_deleted_equation():
     assert not verify_decodability(deleted_equation())
 
 
-def test_rank_check_sees_what_decoder_misses():
-    assert not verify_decodability(swapped_reference())
+def test_swapped_reference_fails_decoder_and_rank_check():
+    # The decoder already refuses this plan; the rank check agrees with it.
+    t = swapped_reference()
+    with pytest.raises(DecodeError, match="desired bits unrecovered"):
+        decode(t.plan, [list(a) for a in t.answers], t.cache)
+    assert not verify_decodability(t)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +370,20 @@ def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
         assert [plan_signature(eqs) for eqs in shipped.per_db] == _corner_signatures(
             p, s, theta, relabel(corner_equations(p, s, theta), perms)
         )
+
+
+def test_montecarlo_memory_stays_small():
+    # Each draw relabels the layout into short-lived equation tuples.  Tuples
+    # built from generators would fill CPython's tuple free lists (emptied by
+    # the full collection below) to about 0.25 MiB; this audit needs ~0.03.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert montecarlo_privacy(Params(3, 2), 1, 1000, 5).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_montecarlo_requires_enough_trials():

@@ -157,6 +157,13 @@ def rename_bit(data, old, new):
                     ref[:] = new
 
 
+def second_bit_of_undesired(data):
+    """Add to an undesired equation a second bit of a message it already names."""
+    eq = next(eq for eq in data["per_db"][0] if all(m != data["theta"] for m, _ in eq))
+    m, b = eq[0]
+    eq.append([m, (b + 1) % data["length"]])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -171,6 +178,8 @@ def rename_bit(data, old, new):
         lambda d: d["decoded"].__setitem__(0, 2),
         lambda d: d["decoded"].pop(),
         lambda d: rename_bit(d, [1, 4], [1, 12]),
+        lambda d: d["per_db"][0][0].append(list(d["per_db"][0][0][0])),
+        second_bit_of_undesired,
     ],
     ids=[
         "per_db_downloads",
@@ -184,6 +193,8 @@ def rename_bit(data, old, new):
         "decoded-bit",
         "short-decoded",
         "bit-out-of-range",
+        "repeated-reference",
+        "message-twice",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):

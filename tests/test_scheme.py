@@ -1,5 +1,6 @@
 """Query-plan structure: round profiles, censuses, reuse patterns, memory-sharing."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -14,14 +15,18 @@ from cachepir import (
     build_corner_plan,
     compose_plans,
     corner_download_total,
+    corner_equations,
     corner_message_length,
     corner_ratio,
     outer_bound,
     prefetch,
     random_store,
+    relabel,
+    retrieve,
     round_profile,
     split_for_ratio,
 )
+from cachepir.cli import transcript_from_dict, transcript_to_dict
 
 
 def make_plan(k, n, s, theta=0, seed=0):
@@ -196,7 +201,7 @@ def test_side_information_reuse():
                 own = [ref for ref in eq if ref[0] == 0]
                 if not own or len(eq) == s + 1:
                     continue  # undesired, or opening round backed by the cache
-                rest = eq - set(own)
+                rest = tuple(ref for ref in eq if ref[0] != 0)
                 assert any(
                     rest in undesired[other] for other in range(n) if other != db
                 ), f"round-{len(eq)} desired equation lacks a foreign donor"
@@ -368,3 +373,64 @@ def test_compose_cache_contract():
     wrong_len = prefetch(random_store(3, 9, 0), 2, 0)
     with pytest.raises(ContractViolation):
         compose_plans(p, F(1, 5), 0, wrong_len, 0)
+
+
+# ---------------------------------------------------------------------------
+# equation representation
+
+
+def assert_canonical(per_db):
+    """Every equation is a tuple of (int, int) references, messages increasing."""
+    for eqs in per_db:
+        for eq in eqs:
+            assert type(eq) is tuple and eq
+            for ref in eq:
+                assert type(ref) is tuple and len(ref) == 2
+                assert all(type(x) is int for x in ref)
+            assert all(a[0] < b[0] for a, b in zip(eq, eq[1:])), eq
+
+
+@pytest.mark.parametrize(
+    "k,n,r",
+    [(3, 2, F(1, 7)), (4, 3, F(1, 4)), (3, 2, F(1, 5)), (4, 2, F(3, 50)), (3, 3, F(5, 6))],
+    ids=["corner-3-2", "corner-4-3", "composed-3-2", "composed-4-2", "filler-3-3"],
+)
+def test_equations_are_sorted_tuples(k, n, r):
+    p = Params(k, n)
+    for theta in (0, k - 1):
+        t = retrieve(p, theta, r, seed=11)
+        assert t.plan.total_downloads > 0
+        assert_canonical(t.plan.per_db)
+
+        # the loader restores the canonical order whatever order the file lists
+        data = transcript_to_dict(t)
+        for eqs in data["per_db"]:
+            for eq in eqs:
+                eq.reverse()
+        loaded = transcript_from_dict(data)
+        assert_canonical(loaded.plan.per_db)
+        assert loaded.plan.per_db == t.plan.per_db
+
+    s = split_for_ratio(p, r).s
+    layout = corner_equations(p, s, 0)
+    length = corner_message_length(p, s)
+    perms = [list(reversed(range(length))) for _ in range(k)]
+    assert_canonical(layout)
+    assert_canonical(relabel(layout, perms))
+
+
+def test_composed_plan_memory_stays_small():
+    # frozenset equations held 9.7 MiB here; tuples of shared references 5.2
+    p, r = Params(4, 2), F(1, 1000)
+    split = split_for_ratio(p, r)
+    assert split.total_length == 16000
+    store = random_store(4, split.total_length, 1)
+    cache = prefetch(store, split.cached_per_message, 1)
+    tracemalloc.start()
+    try:
+        plan = compose_plans(p, r, 0, cache, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan.total_downloads > 0
+    assert held < 7 * 2**20
