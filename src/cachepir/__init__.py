@@ -58,7 +58,6 @@ from .protocol import (
 )
 from .audit import (
     PrivacyReport,
-    Signature,
     bias_mixture_assignment,
     drop_undesired_equation,
     enumerate_privacy,

@@ -17,25 +17,37 @@ such component of a composed plan lies inside one memory-sharing block, so
 the check is linear in the message length, and it reads no plan metadata.
 Costs are reconciled exactly against the bounds module.
 
-Privacy is audited on per-database *signatures*: the canonical form of a
-query list with bit identities erased but message identities and bit-reuse
-structure kept.  Under the uniform per-message index
-permutation the raw indices are exchangeable, so the signature is the
-permutation-invariant statistic a database could actually act on.  A draw of
-the corner randomness is one permutation per message, whose head is the
-cache and whose order is the consumption order, and it relabels the corner
-layout; no plan is built and the query shuffle is skipped, since the
-signature cannot see it.  Every draw is thus, by construction, a
-per-message bit relabeling of one fixed layout, so a private scheme gives
-each database one signature whatever the draw and the desired index.  Both
-distributional audits therefore check each draw against one reference, the
-layout itself at desired index 0, and pass only when no draw misses it:
-exhaustively over every draw (tiny instances only) or over seeded samples.
+Privacy is certified on each plan directly.  A database sees its query list
+relabeled by one uniform permutation per message, then shuffled.  That
+premise holds by construction and is not checked here: `prefetch` caches a
+uniform subset of each message, and `compose_plans` deals the cached and the
+uncached indices to the blocks in uniform order and shuffles each list.  The
+*support* of an equation is the tuple of messages it touches.  Two query
+lists that each use every bit at most once are relabelings of each other
+exactly when their support multisets agree.  So a plan is private when, for
+each database,
+
+  (i)  no (m, j) reference appears twice, and
+  (ii) the multiset of supports equals the census `round_profile` predicts
+       for `plan.blocks`: a block of corner s gives every i-subset of the
+       messages (n-1)^(i-s-1) equations for each i > s, and no subset with
+       i <= s gets any.
+
+The prediction reads neither the desired index nor the randomness, so (i)
+and (ii) make every database's view distributed the same whatever the
+desired index.  The check is sufficient for any plan, and exact for plans
+that use each bit at most once per database, which is every plan `retrieve`
+ships.  A failing database is named in the report's `detail` with its first
+repeated bit, or its first subset with the count found and the count
+predicted.  The distributional audits keep their draws of the corner
+randomness, one permutation per message that relabels the corner layout,
+and certify every draw: exhaustively over every draw (tiny instances only)
+or over seeded samples.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
-fail the structural census on purpose: query order is not part of the census,
-only the distributional audits see it, and the signature quotients it out.
+fail the certificate on purpose: query order is the one thing a single plan
+cannot show, and the premise above, not the check, covers it.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial
 
 from .bounds import (
@@ -55,10 +67,9 @@ from .bounds import (
 )
 from .protocol import DecodeError, Transcript, decode
 from .rng import derive_rng
-from .scheme import QueryPlan, corner_equations, relabel
+from .scheme import QueryPlan, corner_equations, relabel, round_profile
 
 __all__ = [
-    "Signature",
     "PrivacyReport",
     "plan_signature",
     "verify_decodability",
@@ -72,10 +83,8 @@ __all__ = [
     "sort_queries",
 ]
 
-Signature = tuple
 
-
-def plan_signature(equations) -> Signature:
+def plan_signature(equations) -> tuple:
     """Canonical form of one database's query list.
 
     Bit identities are erased, message identities and the repetition
@@ -84,7 +93,9 @@ def plan_signature(equations) -> Signature:
     reference colors, then references are refined once by the sorted multiset
     of colors of the equations containing them.  The result is invariant
     under query reordering and per-message bit relabeling, and never reads a
-    desired index.
+    desired index.  No audit calls it: the support census replaced it.  It
+    stays because the benchmark's `--trace 1` wraps `audit.plan_signature`
+    by name and raises `AttributeError` when it is missing.
     """
     eqs = list(equations)
     multiplicity = Counter(ref for eq in eqs for ref in eq)
@@ -170,100 +181,126 @@ def verify_cost(t: Transcript) -> bool:
     return t.cost == outer_bound(t.params, t.plan.r)
 
 
-def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
-    """Census check: equal equation counts over every message subset of each size.
+def _predicted_supports(p: Params, blocks) -> Counter:
+    """Per-database support census that `round_profile` predicts for `blocks`.
 
-    For each database and each equation size t, the number of equations
-    touching each t-subset of the k messages must be the same for all
-    binom(k, t) subsets; this is the structural face of message symmetry.
-    Query order is deliberately ignored.
+    Round i of corner s downloads C(k-1, i-1) desired and C(k-1, i)
+    undesired sums per database, (n-1)^(i-s-1) for each of the C(k, i)
+    i-subsets of the messages; filler blocks download nothing.
     """
-    per_db = []
-    violations = []
-    for db, eqs in enumerate(plan.per_db):
-        census = Counter(tuple(m for m, _ in eq) for eq in eqs)
-        worst = Fraction(0)
-        for size in sorted({len(sub) for sub in census}):
-            counts = [
-                census.get(sub, 0) for sub in combinations(range(plan.k), size)
-            ]
-            low, high = min(counts), max(counts)
-            if low != high:
-                worst = max(worst, 1 - Fraction(low, high))
-                violations.append(
-                    f"db {db}: size-{size} subset counts range {low}..{high}"
-                )
-        per_db.append(worst)
-    distance = max(per_db, default=Fraction(0))
+    census = Counter()
+    for s, count in blocks:
+        if s is None:
+            continue
+        for rnd in round_profile(p, s).rounds:
+            subsets = list(combinations(range(p.k), rnd.index))
+            per_subset = (rnd.desired_per_db + rnd.undesired_per_db) // len(subsets)
+            for subset in subsets:
+                census[subset] += count * per_subset
+    return census
+
+
+def _violations(per_db, predicted: Counter) -> dict:
+    """Why each failing database breaks (i) or (ii), keyed by database."""
+    bad = {}
+    for db, eqs in enumerate(per_db):
+        if len(set(chain.from_iterable(eqs))) != sum(map(len, eqs)):
+            uses = Counter(chain.from_iterable(eqs))
+            ref, times = next((r, n) for r, n in uses.items() if n > 1)
+            bad[db] = f"bit {ref} appears {times} times"
+            continue
+        found = Counter([tuple([m for m, _ in eq]) for eq in eqs])
+        if found.items() != predicted.items():
+            subset = min(
+                (sub for sub in found.keys() | predicted.keys()
+                 if found[sub] != predicted[sub]),
+                key=lambda sub: (len(sub), sub),
+            )
+            bad[db] = (
+                f"subset {subset} has {found[subset]} equations, "
+                f"round_profile predicts {predicted[subset]}"
+            )
+    return bad
+
+
+def _explain(bad: dict) -> str:
+    return "; ".join(f"db {db}: {why}" for db, why in bad.items())
+
+
+def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
+    """Privacy certificate of one plan: (i) and (ii) of the module docstring.
+
+    A database's distance is 1 when it fails the certificate and 0 when it
+    passes.  Query order is deliberately ignored.
+    """
+    predicted = _predicted_supports(Params(plan.k, plan.n), plan.blocks)
+    bad = _violations(plan.per_db, predicted)
+    per_db = tuple(Fraction(int(db in bad)) for db in range(plan.n))
     return PrivacyReport(
         mode="structural",
-        passed=distance == 0,
-        distance=distance,
-        per_db=tuple(per_db),
-        detail="; ".join(violations),
+        passed=not bad,
+        distance=max(per_db),
+        per_db=per_db,
+        detail=_explain(bad),
     )
 
 
-def _corner_signatures(p: Params, s: int, theta: int, per_db, mutation=None) -> list:
-    """Per-database signatures of unshuffled corner-s equations.
+def _corner_plan(p: Params, s: int, theta: int, per_db) -> QueryPlan:
+    """One-block corner-s plan holding `per_db` as given, for the mutation hook."""
+    return QueryPlan(
+        k=p.k,
+        n=p.n,
+        length=corner_message_length(p, s),
+        theta=theta,
+        r=corner_ratio(p, s),
+        seed=None,
+        blocks=((s, 1),),
+        per_db=tuple(tuple(eqs) for eqs in per_db),
+    )
 
-    `mutation`, when given, first sees the equations wrapped in a one-block
-    QueryPlan.
+
+def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
+    """Per database, the worst share over `thetas` of draws failing the certificate.
+
+    `draws(theta)` yields one permutation per message, which relabels that
+    index's corner layout; `mutation`, when given, first sees the draw
+    wrapped in a one-block plan.  Each share is exact, so it is 0 on a
+    private scheme.  Also returns the first failing draw, explained.
     """
-    if mutation is not None:
-        plan = QueryPlan(
-            k=p.k,
-            n=p.n,
-            length=corner_message_length(p, s),
-            theta=theta,
-            r=corner_ratio(p, s),
-            seed=None,
-            blocks=((s, 1),),
-            per_db=tuple(tuple(eqs) for eqs in per_db),
-        )
-        per_db = mutation(plan).per_db
-    return [plan_signature(eqs) for eqs in per_db]
-
-
-def _reference_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
-    """Per database, the worst share over `thetas` of draws that miss the reference.
-
-    The reference is the signature of the corner layout at desired index 0,
-    passed through `mutation` like every draw.  `draws(theta)` yields one
-    permutation per message, which relabels that index's layout.  Each share
-    is the exact total-variation distance of that desired index's empirical
-    signature distribution from the reference point mass, so it is 0 on a
-    private scheme.
-    """
-    reference = _corner_signatures(p, s, 0, corner_equations(p, s, 0), mutation)
+    predicted = _predicted_supports(p, ((s, 1),))
     worst = [Fraction(0)] * p.n
+    first = ""
     for theta in thetas:
         layout = corner_equations(p, s, theta)
         total = 0
         misses = [0] * p.n
         for perms in draws(theta):
             total += 1
-            for db, sig in enumerate(
-                _corner_signatures(p, s, theta, relabel(layout, perms), mutation)
-            ):
-                misses[db] += sig != reference[db]
+            per_db = relabel(layout, perms)
+            if mutation is not None:
+                per_db = mutation(_corner_plan(p, s, theta, per_db)).per_db
+            bad = _violations(per_db, predicted)
+            for db in bad:
+                misses[db] += 1
+            if bad and not first:
+                first = f"theta {theta}, draw {total}: {_explain(bad)}"
         worst = [max(w, Fraction(miss, total)) for w, miss in zip(worst, misses)]
-    return tuple(worst)
+    return tuple(worst), first
 
 
 MAX_OUTCOMES = 10**7
 
 
 def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
-    """Exact privacy certificate over the whole randomness space.
+    """Exhaustive privacy audit over the whole randomness space.
 
     Walks every per-message index permutation (cache placement plus both
     consumption orders) for every desired index and passes only when every
-    one gives each database the reference signature.  Since a draw only
-    relabels bits within each message, which the signature cannot see, that
-    is the expected outcome; this walk is the brute-force evidence for the
-    argument on tiny instances.  Query shuffles are counted in the size
-    guard but not iterated: the signature is order-invariant.
+    draw passes the certificate.  A draw only relabels bits within each
+    message, which the certificate cannot see, so that is the expected
+    outcome; this walk is the brute-force evidence for the argument on tiny
+    instances.  Query shuffles are counted in the size guard but not
+    iterated: the certificate is order-invariant.
     """
     length = corner_message_length(p, s)
     per_db_eqs = corner_download_total(p, s) // p.n
@@ -273,7 +310,7 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
             f"instance too large for exact enumeration: {outcomes} outcomes "
             f"exceed the {MAX_OUTCOMES} guard"
         )
-    per_db = _reference_distance(
+    per_db, detail = _draw_distance(
         p, s, range(p.k), lambda _: product(permutations(range(length)), repeat=p.k)
     )
     distance = max(per_db)
@@ -283,20 +320,21 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
         distance=distance,
         per_db=per_db,
         trials=outcomes,
+        detail=detail,
     )
 
 
 def montecarlo_privacy(
     p: Params, s: int, trials: int, seed, *, mutation=None
 ) -> PrivacyReport:
-    """Sampled privacy certificate over every desired index.
+    """Sampled privacy audit over every desired index.
 
     Draws `trials` samples of the corner-s randomness for desired index 0
     and `trials // (k-1)` for each other index, each from its own stream, so
-    at most 2·trials in all.  It passes only when every sample gives each
-    database the reference signature; the distance is the worst exact share
-    of one index's samples that miss it.  A draw only relabels bits within
-    each message, which the signature cannot see, so one miss is a leak.
+    at most 2·trials in all, and certifies each one.  It passes only when
+    every sample passes; the distance is the worst exact share of one
+    index's samples that fail.  A draw only relabels bits within each
+    message, which the certificate cannot see, so one failure is a leak.
     The 1000-trial floor stays because a leak confined to a few percent of
     one index's draws would likely escape fewer: one on 3% of draws escapes
     100 samples about once in twenty.  At 1000 trials and k ≤ 5 every index
@@ -305,8 +343,8 @@ def montecarlo_privacy(
     A sample is one uniform permutation per message, the space
     `enumerate_privacy` walks: its head is a uniform cache, and head and
     tail are in uniform consumption order, as `prefetch` and `compose_plans`
-    draw them.  `mutation` hooks a plan transform in front of the statistic,
-    which is how the negative controls are exercised.
+    draw them.  `mutation` hooks a plan transform in front of the
+    certificate, which is how the negative controls are exercised.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
@@ -317,7 +355,7 @@ def montecarlo_privacy(
         for _ in range(trials if theta == 0 else trials // (p.k - 1)):
             yield [rng.sample(range(length), length) for _ in range(p.k)]
 
-    per_db = _reference_distance(p, s, range(p.k), draws, mutation)
+    per_db, detail = _draw_distance(p, s, range(p.k), draws, mutation)
     distance = max(per_db)
     return PrivacyReport(
         mode="montecarlo",
@@ -326,6 +364,7 @@ def montecarlo_privacy(
         per_db=per_db,
         trials=trials,
         seed=seed,
+        detail=detail,
     )
 
 
@@ -339,9 +378,9 @@ def _single_corner(plan: QueryPlan) -> int:
 def skip_message_symmetry(plan: QueryPlan) -> QueryPlan:
     """Negative control: strip every undesired equation.
 
-    The remaining queries all touch the desired message, so the census is
-    lopsided and the signature distributions of different desired indices
-    separate completely.
+    The remaining queries all touch the desired message, so every subset
+    without it misses its predicted count and the support census tells the
+    desired index apart completely.
     """
     per_db = tuple(
         tuple(eq for eq in eqs if any(m == plan.theta for m, _ in eq))
@@ -367,7 +406,7 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
 
     All opening-round desired equations are rewritten to reuse the
     lexicographically smallest mixture, skewing the per-subset census and
-    introducing bit reuse the signature can see.
+    reusing cached bits, which the certificate refuses.
     """
     s = _single_corner(plan)
     if s < 1:
@@ -395,7 +434,7 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
 def sort_queries(plan: QueryPlan) -> QueryPlan:
     """Order-normalized plan, standing in for a skipped final shuffle.
 
-    Passes structural_symmetry by design (the census ignores order); it
-    exists to document that boundary of the structural check.
+    Passes structural_symmetry by design (the certificate ignores order); it
+    exists to document that boundary of a check on one plan.
     """
     return replace(plan, per_db=tuple(tuple(sorted(eqs)) for eqs in plan.per_db))

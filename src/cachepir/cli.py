@@ -303,6 +303,8 @@ def cmd_simulate(args) -> int:
     print(f"cost reconciliation: {'pass' if cost_ok else 'FAIL'}")
     print(f"decodability rank:   {'pass' if rank_ok else 'FAIL'}")
     print(f"structural symmetry: {'pass' if symmetry.passed else 'FAIL'}")
+    if symmetry.detail:
+        print(f"  {symmetry.detail}")
     if args.out is not None:
         write_transcript(t, args.out)
         print(f"transcript written to {args.out}")

@@ -1,8 +1,9 @@
-"""Audit instruments: rank checks, cost reconciliation, privacy signatures."""
+"""Audit instruments: rank checks, cost reconciliation, privacy certificates."""
 
 import dataclasses
 import gc
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -30,7 +31,7 @@ from cachepir import (
     verify_cost,
     verify_decodability,
 )
-from cachepir.audit import _corner_signatures, _in_span, _reference_distance, _span_basis
+from cachepir.audit import _corner_plan, _draw_distance, _in_span, _span_basis
 from cachepir.rng import derive_rng
 
 
@@ -276,13 +277,79 @@ def test_structural_symmetry_passes_fresh_and_composed():
     assert structural_symmetry(t.plan).passed
 
 
+def doubled(plan):
+    # Each database's view stays blind to θ, but it downloads twice what
+    # round_profile predicts, so it is not the paper's scheme.
+    return dataclasses.replace(plan, per_db=tuple(eqs + eqs for eqs in plan.per_db))
+
+
+def reused_bit(plan):
+    # The first database puts the first bit of its first equation into a
+    # later equation on the same message: every support is unchanged.
+    eqs = list(plan.per_db[0])
+    m, j = eqs[0][0]
+    i = next(i for i, eq in enumerate(eqs) if i and any(ref[0] == m for ref in eq))
+    eqs[i] = tuple([(m, j) if ref[0] == m else ref for ref in eqs[i]])
+    return dataclasses.replace(plan, per_db=(tuple(eqs),) + plan.per_db[1:])
+
+
+def dropped_full_sum(plan):
+    # The first database loses one of its sums over all k messages, a subset
+    # that takes several at n > 2: every support still occurs.
+    eqs = list(plan.per_db[0])
+    del eqs[next(i for i, eq in enumerate(eqs) if len(eq) == plan.k)]
+    return dataclasses.replace(plan, per_db=(tuple(eqs),) + plan.per_db[1:])
+
+
 def test_structural_symmetry_mutants():
+    t = retrieve(Params(4, 3), 2, corner_ratio(Params(4, 3), 1), seed=1)
+    report = structural_symmetry(dropped_full_sum(t.plan))
+    assert report.detail == (
+        "db 0: subset (0, 1, 2, 3) has 3 equations, round_profile predicts 4"
+    )
     t = retrieve(Params(4, 2), 0, corner_ratio(Params(4, 2), 2), seed=1)
     assert not structural_symmetry(drop_undesired_equation(t.plan)).passed
     assert not structural_symmetry(bias_mixture_assignment(t.plan)).passed
     assert not structural_symmetry(skip_message_symmetry(t.plan)).passed
+    assert structural_symmetry(doubled(t.plan)).distance == 1
+    report = structural_symmetry(reused_bit(t.plan))
+    assert not report.passed and report.per_db == (1, 0)
     # ordering is not part of the census: the unshuffled plan still passes
     assert structural_symmetry(sort_queries(t.plan)).passed
+
+
+def test_failing_certificate_explains_itself():
+    t = retrieve(Params(4, 2), 0, corner_ratio(Params(4, 2), 2), seed=1)
+    report = structural_symmetry(skip_message_symmetry(t.plan))
+    assert report.detail == (
+        "db 0: subset (1, 2, 3) has 0 equations, round_profile predicts 1; "
+        "db 1: subset (1, 2, 3) has 0 equations, round_profile predicts 1"
+    )
+    report = structural_symmetry(reused_bit(t.plan))
+    assert report.detail == f"db 0: bit {t.plan.per_db[0][0][0]} appears 2 times"
+    report = montecarlo_privacy(
+        Params(3, 2), 1, 1000, seed=7, mutation=skip_message_symmetry
+    )
+    assert report.detail == (
+        "theta 0, draw 1: "
+        "db 0: subset (1, 2) has 0 equations, round_profile predicts 1; "
+        "db 1: subset (1, 2) has 0 equations, round_profile predicts 1"
+    )
+    assert structural_symmetry(t.plan).detail == ""
+
+
+def test_structural_symmetry_memory_stays_small():
+    # Check (i) holds a set of one database's bit references at a time:
+    # about 3 MiB here, where the equal-count census alone took 0.5 MiB.
+    t = retrieve(Params(4, 2), 0, F(1, 2249), 1)
+    assert t.length == 17992
+    tracemalloc.start()
+    try:
+        assert structural_symmetry(t.plan).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_signature_is_theta_blind_by_shape():
@@ -313,7 +380,7 @@ def test_enumerate_privacy_refuses_large():
 def test_enumeration_catches_leak():
     p = Params(2, 2)
     length = corner_message_length(p, 0)
-    per_db = _reference_distance(
+    per_db, _ = _draw_distance(
         p,
         0,
         range(p.k),
@@ -356,10 +423,11 @@ def test_montecarlo_privacy_smoke():
 
 
 @pytest.mark.parametrize("k,n,s", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 2)])
-def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
-    # The Monte-Carlo audit never builds a plan: it signs the corner layout
-    # relabeled by one permutation per message.  Those must be the signatures
-    # of the plans retrieve actually ships at that corner.
+def test_montecarlo_draw_matches_shipped_supports(k, n, s):
+    # The Monte-Carlo audit never builds a plan: it certifies the corner
+    # layout relabeled by one permutation per message.  Each database of such
+    # a draw must see the supports of the plan retrieve actually ships at
+    # that corner, and both must pass the certificate.
     p = Params(k, n)
     length = corner_message_length(p, s)
     seed = 31
@@ -367,9 +435,13 @@ def test_montecarlo_sample_signs_like_shipped_plan(k, n, s):
         shipped = retrieve(p, theta, corner_ratio(p, s), seed).plan
         rng = derive_rng(seed, "mc", theta)
         perms = [rng.sample(range(length), length) for _ in range(k)]
-        assert [plan_signature(eqs) for eqs in shipped.per_db] == _corner_signatures(
-            p, s, theta, relabel(corner_equations(p, s, theta), perms)
-        )
+        draw = _corner_plan(p, s, theta, relabel(corner_equations(p, s, theta), perms))
+        for got, want in zip(draw.per_db, shipped.per_db):
+            assert Counter(tuple(m for m, _ in eq) for eq in got) == Counter(
+                tuple(m for m, _ in eq) for eq in want
+            )
+        assert structural_symmetry(draw).passed
+        assert structural_symmetry(shipped).passed
 
 
 def test_montecarlo_memory_stays_small():
@@ -397,6 +469,11 @@ def test_montecarlo_mutant_fails():
     )
     assert not report.passed
     assert report.distance > 0.5
+    for k, n, s in [(3, 2, 1), (4, 2, 2), (4, 3, 1)]:
+        report = montecarlo_privacy(Params(k, n), s, 1000, seed=7, mutation=doubled)
+        assert report.distance == 1, (k, n, s)
+    report = montecarlo_privacy(Params(3, 2), 1, 1000, seed=7, mutation=reused_bit)
+    assert report.per_db == (1, 0)
 
 
 def test_montecarlo_catches_rare_leak():
