@@ -55,6 +55,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import factorial
 
@@ -66,7 +67,7 @@ from .bounds import (
     outer_bound,
 )
 from .protocol import DecodeError, Transcript, decode
-from .rng import derive_rng
+from .rng import derive_rng, permutation
 from .scheme import QueryPlan, corner_equations, relabel, round_profile
 
 __all__ = [
@@ -245,14 +246,21 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     )
 
 
+@cache
+def _corner_shape(p: Params, s: int) -> tuple[int, Fraction]:
+    """Message length and caching ratio of corner s, computed once per (p, s)."""
+    return corner_message_length(p, s), corner_ratio(p, s)
+
+
 def _corner_plan(p: Params, s: int, theta: int, per_db) -> QueryPlan:
     """One-block corner-s plan holding `per_db` as given, for the mutation hook."""
+    length, r = _corner_shape(p, s)
     return QueryPlan(
         k=p.k,
         n=p.n,
-        length=corner_message_length(p, s),
+        length=length,
         theta=theta,
-        r=corner_ratio(p, s),
+        r=r,
         seed=None,
         blocks=((s, 1),),
         per_db=tuple(tuple(eqs) for eqs in per_db),
@@ -340,7 +348,8 @@ def montecarlo_privacy(
     100 samples about once in twenty.  At 1000 trials and k ≤ 5 every index
     gets at least 250 draws, which that leak escapes about once in two
     thousand, and index 0 gets 1000, which it almost never escapes.
-    A sample is one uniform permutation per message, the space
+    A sample is one uniform permutation per message, drawn by
+    `rng.permutation` (bit for bit `random.Random.sample`); that is the space
     `enumerate_privacy` walks: its head is a uniform cache, and head and
     tail are in uniform consumption order, as `prefetch` and `compose_plans`
     draw them.  `mutation` hooks a plan transform in front of the
@@ -353,7 +362,7 @@ def montecarlo_privacy(
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)
         for _ in range(trials if theta == 0 else trials // (p.k - 1)):
-            yield [rng.sample(range(length), length) for _ in range(p.k)]
+            yield [permutation(rng, length) for _ in range(p.k)]
 
     per_db, detail = _draw_distance(p, s, range(p.k), draws, mutation)
     distance = max(per_db)

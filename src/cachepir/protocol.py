@@ -164,6 +164,19 @@ class DecodeError(Exception):
         super().__init__("; ".join(parts))
 
 
+def _first_non_canonical(plan: QueryPlan) -> tuple[int, Equation] | None:
+    """First (db, equation) that is not a tuple with strictly increasing messages.
+
+    Decoding looks side information up by the canonical tuple, so such an
+    equation explains a failed lookup better than the sum that missed it.
+    """
+    for db, eqs in enumerate(plan.per_db):
+        for eq in eqs:
+            if not isinstance(eq, tuple) or any(a[0] >= b[0] for a, b in zip(eq, eq[1:])):
+                return db, eq
+    return None
+
+
 def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     """Recover the desired message from the answers, packed little-endian.
 
@@ -208,6 +221,13 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
         elif all(b in lookup[m] for m, b in rest):
             bit = value ^ reduce(lambda acc, ref: acc ^ lookup[ref[0]][ref[1]], rest, 0)
         else:
+            odd = _first_non_canonical(plan)
+            if odd is not None:
+                raise DecodeError(
+                    "equation is not a tuple sorted by message",
+                    db=odd[0],
+                    equation=odd[1],
+                )
             raise DecodeError(
                 "side information neither cached nor downloaded",
                 db=db,

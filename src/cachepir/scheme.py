@@ -47,7 +47,7 @@ from .bounds import (
     corner_message_length,
     corner_ratio,
 )
-from .rng import derive_rng
+from .rng import derive_rng, shuffle
 
 BitRef = tuple[int, int]  # (message index, bit index)
 Equation = tuple  # tuple[BitRef, ...], sorted by strictly increasing message index
@@ -327,8 +327,10 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
     a block takes its corner's cached quota, then its uncached bits, and is
     the layout relabeled by that permutation.  Fully-cached filler blocks
     come last and own no queries, so they are never walked.  The combined
-    per-database query list is shuffled once at the end.  A ratio hitting a
-    corner is the one-block case, and r = 1 returns an empty plan.
+    per-database query list is shuffled once at the end.  Every shuffle is
+    `rng.shuffle`, the kernel that matches `random.Random.shuffle` bit for
+    bit.  A ratio hitting a corner is the one-block case, and r = 1 returns
+    an empty plan.
     """
     _check_theta(p.k, theta)
     r = Fraction(r)
@@ -347,10 +349,10 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
     dealt = []
     for m in range(p.k):
         held = list(cache.indices[m])
-        derive_rng(seed, "deal-cached", m).shuffle(held)
+        shuffle(derive_rng(seed, "deal-cached", m), held)
         held_set = set(held)
         rest = [i for i in range(split.total_length) if i not in held_set]
-        derive_rng(seed, "deal-fresh", m).shuffle(rest)
+        shuffle(derive_rng(seed, "deal-fresh", m), rest)
         dealt.append((iter(held), iter(rest)))
 
     per_db: list[list[Equation]] = [[] for _ in range(p.n)]
@@ -368,7 +370,7 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
                 per_db[db].extend(eqs)
 
     for db in range(p.n):
-        derive_rng(seed, "shuffle", db).shuffle(per_db[db])
+        shuffle(derive_rng(seed, "shuffle", db), per_db[db])
     return QueryPlan(
         k=p.k,
         n=p.n,

@@ -158,7 +158,7 @@ def manual_two_db_plan(length, per_db, theta, r, s):
     )
 
 
-def test_decode_hand_built_single_mix_table():
+def single_mix_table():
     # message length 7, one cached bit per message (index 0), desired index 0:
     # db1: a2+b1, a3+c1, b2+c2, a6+b3+c3 / db2: a4+b1, a5+c1, b3+c3, a7+b2+c2
     store = random_store(3, 7, 99)
@@ -179,9 +179,30 @@ def test_decode_hand_built_single_mix_table():
         {(1, 2), (2, 2)},
         {(0, 6), (1, 1), (2, 1)},
     ]
-    plan = manual_two_db_plan(7, [db1, db2], theta=0, r=F(1, 7), s=1)
+    return store, cache, manual_two_db_plan(7, [db1, db2], theta=0, r=F(1, 7), s=1)
+
+
+def test_decode_hand_built_single_mix_table():
+    store, cache, plan = single_mix_table()
     answers = [answer(store, list(eqs)) for eqs in plan.per_db]
     assert decode(plan, answers, cache) == store.bits[0]
+
+
+@pytest.mark.parametrize(
+    "odd", [((2, 1), (1, 1)), frozenset({(1, 1), (2, 1)})], ids=["unsorted", "frozenset"]
+)
+def test_decode_names_non_canonical_equation(odd):
+    # Side information is looked up by its canonical sorted tuple.  Stored in
+    # another form, b2+c2 at db 0 is the equation to name, not a7+b2+c2 at
+    # db 1, whose lookup of it fails.
+    store, cache, plan = single_mix_table()
+    first = list(plan.per_db[0])
+    first[2] = odd
+    plan = dataclasses.replace(plan, per_db=(tuple(first), plan.per_db[1]))
+    answers = [answer(store, list(eqs)) for eqs in plan.per_db]
+    with pytest.raises(DecodeError, match="not a tuple sorted by message") as err:
+        decode(plan, answers, cache)
+    assert (err.value.db, err.value.equation) == (0, odd)
 
 
 def test_decode_hand_built_double_mix_table():
