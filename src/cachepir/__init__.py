@@ -41,6 +41,7 @@ from .scheme import (
     build_corner_plan,
     compose_plans,
     corner_equations,
+    is_canonical,
     relabel,
     round_profile,
     split_for_ratio,

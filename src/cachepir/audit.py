@@ -56,8 +56,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, permutations, product
-from math import factorial
+from itertools import chain, combinations, permutations, product, repeat
 
 from .bounds import (
     Params,
@@ -66,7 +65,7 @@ from .bounds import (
     corner_ratio,
     outer_bound,
 )
-from .protocol import DecodeError, Transcript, decode
+from .protocol import MAX_SIMULATED_BITS, DecodeError, Transcript, decode
 from .rng import derive_rng, permutation
 from .scheme import QueryPlan, corner_equations, relabel, round_profile
 
@@ -162,7 +161,7 @@ def verify_decodability(t: Transcript) -> bool:
     message's bit.
     """
     try:
-        redecoded = decode(t.plan, [list(a) for a in t.answers], t.cache)
+        redecoded = decode(t.plan, t.answers, t.cache)
     except DecodeError:
         return False
     if redecoded != t.decoded or redecoded != t.store.bits[t.plan.theta]:
@@ -308,16 +307,21 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
     message, which the certificate cannot see, so that is the expected
     outcome; this walk is the brute-force evidence for the argument on tiny
     instances.  Query shuffles are counted in the size guard but not
-    iterated: the certificate is order-invariant.
+    iterated: the certificate is order-invariant.  The guard multiplies
+    the count L(s)!^k · (D/n)!^n up one factor at a time and refuses the
+    instance, with ValueError, as soon as it passes MAX_OUTCOMES.
     """
     length = corner_message_length(p, s)
     per_db_eqs = corner_download_total(p, s) // p.n
-    outcomes = factorial(length) ** p.k * factorial(per_db_eqs) ** p.n
-    if outcomes > MAX_OUTCOMES:
-        raise ValueError(
-            f"instance too large for exact enumeration: {outcomes} outcomes "
-            f"exceed the {MAX_OUTCOMES} guard"
-        )
+    outcomes = 1
+    for top, times in ((length, p.k), (per_db_eqs, p.n)):
+        for factor in chain.from_iterable(repeat(range(2, top + 1), times)):
+            outcomes *= factor
+            if outcomes > MAX_OUTCOMES:
+                raise ValueError(
+                    f"instance too large for exact enumeration: more than the "
+                    f"{MAX_OUTCOMES} outcomes its guard allows"
+                )
     per_db, detail = _draw_distance(
         p, s, range(p.k), lambda _: product(permutations(range(length)), repeat=p.k)
     )
@@ -353,11 +357,18 @@ def montecarlo_privacy(
     `enumerate_privacy` walks: its head is a uniform cache, and head and
     tail are in uniform consumption order, as `prefetch` and `compose_plans`
     draw them.  `mutation` hooks a plan transform in front of the
-    certificate, which is how the negative controls are exercised.
+    certificate, which is how the negative controls are exercised.  A
+    corner whose k·L(s) exceeds `protocol.MAX_SIMULATED_BITS` is refused,
+    with ValueError, before its layout is built.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     length = corner_message_length(p, s)
+    if p.k * length > MAX_SIMULATED_BITS:
+        raise ValueError(
+            f"corner {s} needs {p.k} messages of {length} bits, "
+            f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
+        )
 
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)

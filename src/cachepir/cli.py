@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 
 from . import audit as audit_mod
 from .bounds import (
@@ -33,7 +36,7 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import CacheState, DecodeError, MessageStore, Transcript, pack_bits, retrieve
-from .scheme import QueryPlan, split_for_ratio
+from .scheme import QueryPlan, is_canonical, split_for_ratio
 
 CURVE_HEADER = (
     "r,r_exact,outer,outer_exact,inner,inner_exact,"
@@ -68,6 +71,7 @@ def decimal_str(value: Fraction, precision: int = 12) -> str:
 
 
 def transcript_to_dict(t: Transcript) -> dict:
+    """The transcript as JSON-ready values; `json` writes its tuples as arrays."""
     return {
         "k": t.params.k,
         "n": t.params.n,
@@ -75,19 +79,13 @@ def transcript_to_dict(t: Transcript) -> dict:
         "r": fraction_token(t.plan.r),
         "seed": t.plan.seed,
         "length": t.length,
-        "blocks": [[s, count] for s, count in t.plan.blocks],
-        "per_db": [
-            [[list(ref) for ref in eq] for eq in eqs]
-            for eqs in t.plan.per_db
-        ],
-        "answers": [list(a) for a in t.answers],
+        "blocks": t.plan.blocks,
+        "per_db": t.plan.per_db,
+        "answers": t.answers,
         "decoded": t.decoded_bits(),
-        "cache": {
-            "indices": [list(idx) for idx in t.cache.indices],
-            "values": [list(vals) for vals in t.cache.values],
-        },
+        "cache": {"indices": t.cache.indices, "values": t.cache.values},
         "messages": [f"{w:0{(t.length + 3) // 4}x}" for w in t.store.bits],
-        "per_db_downloads": list(t.plan.downloads_per_db),
+        "per_db_downloads": t.plan.downloads_per_db,
         "total_downloads": t.plan.total_downloads,
         "cost": fraction_token(t.cost),
     }
@@ -96,13 +94,14 @@ def transcript_to_dict(t: Transcript) -> dict:
 def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript and check the file's recorded values against it.
 
-    Each equation is rebuilt in canonical form, its references sorted by
-    message.  A missing key, a wrong type, answers, cached values or decoded
-    bits that are not 0/1, a bit reference outside range(k) × range(length),
-    an equation naming one message twice, answers that do not match the
-    queries, a decoded message that is not `length` bits, or recorded
-    counts, cost, length or blocks that differ from the ones the queries and
-    the ratio give all raise ValueError.
+    A missing key, a wrong type, answers, cached values or decoded bits that
+    are not 0/1, an equation that is not `scheme.is_canonical` (listed out
+    of order, naming one message twice, or a bit outside range(k) ×
+    range(length); none is re-sorted), answers that do not match the
+    queries, a decoded message that is not `length` bits, recorded counts,
+    cost, length or blocks that differ from the ones the queries and the
+    ratio give, or a cache that does not hold the ratio's number of bits for
+    each of the k messages all raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -116,24 +115,16 @@ def transcript_from_dict(data: dict) -> Transcript:
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
             per_db=tuple(
-                tuple(tuple(sorted((m, b) for m, b in eq)) for eq in eqs)
+                tuple(tuple(map(tuple, eq)) if type(eq) is list else eq for eq in eqs)
                 for eqs in data["per_db"]
             ),
         )
-        for eqs in plan.per_db:
-            for eq in eqs:
-                previous = None
-                for m, b in eq:
-                    if not (0 <= m < params.k and 0 <= b < length):
-                        raise ValueError(
-                            f"transcript bit reference ({m}, {b}) outside "
-                            f"{params.k} messages of {length} bits"
-                        )
-                    if m == previous:
-                        raise ValueError(
-                            f"transcript equation {list(eq)} names message {m} twice"
-                        )
-                    previous = m
+        for eq in chain.from_iterable(plan.per_db):
+            if not is_canonical(eq, params.k, length):
+                raise ValueError(
+                    f"transcript equation {eq} is not canonical over {params.k} "
+                    f"messages of {length} bits (see is_canonical)"
+                )
         cache = CacheState(
             length=length,
             indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
@@ -161,10 +152,12 @@ def transcript_from_dict(data: dict) -> Transcript:
             ("cost", Fraction(data["cost"]), t.cost),
             ("length", length, split.total_length),
             ("blocks", plan.blocks, split.blocks),
+            ("cached messages", len(cache.indices), params.k),
+            ("cached bits per message", cache.bits_per_message, split.cached_per_message),
         ):
             if recorded != derived:
                 raise ValueError(
-                    f"transcript {key} {recorded} disagrees with its queries "
+                    f"transcript {key} {recorded} disagrees with its k, queries "
                     f"and ratio ({derived})"
                 )
     except (KeyError, TypeError) as err:
@@ -281,6 +274,10 @@ def cmd_simulate(args) -> int:
         raise ValueError("give exactly one of --r and --s")
     r = args.r if args.r is not None else corner_ratio(p, args.s)
     precision = args.precision
+    if args.out is not None:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no such output directory: {folder}")
     try:
         t = retrieve(p, args.theta, r, args.seed)
     except DecodeError as err:
@@ -325,8 +322,12 @@ def _print_report(report) -> None:
 def cmd_audit(args) -> int:
     p = Params(args.k, args.n)
     if args.mode == "structural":
-        plan = retrieve(p, 0, corner_ratio(p, args.s), args.seed).plan
-        report = audit_mod.structural_symmetry(plan)
+        r = corner_ratio(p, args.s)
+        for theta in range(p.k):
+            report = audit_mod.structural_symmetry(retrieve(p, theta, r, args.seed).plan)
+            if not report.passed:
+                report = replace(report, detail=f"theta {theta}: {report.detail}")
+                break
     elif args.mode == "exact":
         report = audit_mod.enumerate_privacy(p, args.s)
     else:

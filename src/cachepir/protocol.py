@@ -16,7 +16,14 @@ from functools import reduce
 
 from .bounds import Params, _check_theta
 from .rng import derive_rng
-from .scheme import ContractViolation, Equation, QueryPlan, compose_plans, split_for_ratio
+from .scheme import (
+    ContractViolation,
+    Equation,
+    QueryPlan,
+    compose_plans,
+    is_canonical,
+    split_for_ratio,
+)
 
 __all__ = [
     "MessageStore",
@@ -85,6 +92,8 @@ class CacheState:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if len(self.values) != len(self.indices):
+            raise ValueError("cached values misaligned with cached indices")
         sizes = {len(idx) for idx in self.indices}
         if len(sizes) > 1:
             raise ValueError("all messages must cache the same number of bits")
@@ -132,15 +141,17 @@ def answer(store: MessageStore, equations: list[Equation]) -> list[int]:
 
     Pure function of (store, equations): this is the whole database-side
     computation, and by taking no cache and no desired index it cannot leak
-    what it never sees.
+    what it never sees.  An equation that is not `scheme.is_canonical` over
+    the store (a frozenset, unsorted, a repeated message, a bit out of
+    range) raises ContractViolation.
     """
     messages = [unpack_bits(w, store.length) for w in store.bits]
     out = []
     for eq in equations:
+        if not is_canonical(eq, store.count, store.length):
+            raise ContractViolation(f"equation {eq!r} is not canonical (see is_canonical)")
         acc = 0
         for m, j in eq:
-            if not (0 <= m < store.count and 0 <= j < store.length):
-                raise ContractViolation(f"bit reference ({m}, {j}) out of range")
             acc ^= messages[m][j]
         out.append(acc)
     return out
@@ -162,19 +173,6 @@ class DecodeError(Exception):
         if self.missing:
             parts.append(f"missing bits={self.missing}")
         super().__init__("; ".join(parts))
-
-
-def _first_non_canonical(plan: QueryPlan) -> tuple[int, Equation] | None:
-    """First (db, equation) that is not a tuple with strictly increasing messages.
-
-    Decoding looks side information up by the canonical tuple, so such an
-    equation explains a failed lookup better than the sum that missed it.
-    """
-    for db, eqs in enumerate(plan.per_db):
-        for eq in eqs:
-            if not isinstance(eq, tuple) or any(a[0] >= b[0] for a, b in zip(eq, eq[1:])):
-                return db, eq
-    return None
 
 
 def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
@@ -221,13 +219,6 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
         elif all(b in lookup[m] for m, b in rest):
             bit = value ^ reduce(lambda acc, ref: acc ^ lookup[ref[0]][ref[1]], rest, 0)
         else:
-            odd = _first_non_canonical(plan)
-            if odd is not None:
-                raise DecodeError(
-                    "equation is not a tuple sorted by message",
-                    db=odd[0],
-                    equation=odd[1],
-                )
             raise DecodeError(
                 "side information neither cached nor downloaded",
                 db=db,
@@ -306,6 +297,6 @@ def retrieve(p: Params, theta: int, r, seed) -> Transcript:
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
     plan = compose_plans(p, r, theta, cache, seed)
-    answers = tuple(tuple(answer(store, list(eqs))) for eqs in plan.per_db)
-    decoded = decode(plan, [list(a) for a in answers], cache)
+    answers = tuple(tuple(answer(store, eqs)) for eqs in plan.per_db)
+    decoded = decode(plan, answers, cache)
     return Transcript(plan=plan, answers=answers, decoded=decoded, store=store, cache=cache)

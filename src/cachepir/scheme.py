@@ -17,7 +17,9 @@ each database's query list.
 An equation is held in one canonical form everywhere: a tuple of (m, j) bit
 references sorted by message.  No sum touches a message twice, so the message
 indices strictly increase, and two equations over the same bits are equal
-tuples.  Renaming keeps every m, so relabeled equations stay sorted.  A tuple
+tuples.  Renaming keeps every m, so relabeled equations stay sorted.
+`is_canonical` states this rule; `protocol.answer` and the transcript loader,
+where equations enter from outside the builder, refuse any other form.  A tuple
 of int pairs is about a third the size of the equivalent frozenset, and the
 cyclic garbage collector stops tracking it after one pass, so a live plan is
 neither large nor walked on every collection.
@@ -55,6 +57,7 @@ Equation = tuple  # tuple[BitRef, ...], sorted by strictly increasing message in
 __all__ = [
     "BitRef",
     "Equation",
+    "is_canonical",
     "ContractViolation",
     "RoundCounts",
     "RoundProfile",
@@ -71,6 +74,22 @@ __all__ = [
 
 class ContractViolation(ValueError):
     """A caller-supplied structure (cache shape, plan shape) breaks a contract."""
+
+
+def is_canonical(eq, k: int, length: int) -> bool:
+    """True when `eq` is a tuple of (m, j) int pairs, 0 <= m < k strictly
+    increasing and 0 <= j < length: the canonical form of a GF(2) sum."""
+    if type(eq) is not tuple:
+        return False
+    previous = -1
+    for ref in eq:
+        if type(ref) is not tuple or len(ref) != 2:
+            return False
+        m, j = ref
+        if not (type(m) is int is type(j) and previous < m < k and 0 <= j < length):
+            return False
+        previous = m
+    return True
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,8 @@ class QueryPlan:
 
     `blocks` records the memory-sharing layout as (corner index, block count)
     pairs; a corner index of None marks fully-cached filler blocks that
-    contribute no queries.
+    contribute no queries.  Equations are not checked here: the sampled
+    audit's negative controls build two plans per draw, and would pay for it.
     """
 
     k: int

@@ -1,11 +1,21 @@
 """CLI contract: exit codes, output values, curve and transcript files."""
 
 import json
+import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from cachepir import Params, decode, outer_bound, retrieve, verify_cost
+from cachepir import (
+    Params,
+    decode,
+    drop_undesired_equation,
+    outer_bound,
+    retrieve,
+    verify_cost,
+)
+from cachepir import cli
 from cachepir.cli import (
     CURVE_HEADER,
     decimal_str,
@@ -143,9 +153,35 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     assert "cost = 8/7" in text
     assert "decode exact:        pass" in text
     t = load_transcript(str(out))
-    assert decode(t.plan, [list(a) for a in t.answers], t.cache) == t.decoded
+    assert decode(t.plan, t.answers, t.cache) == t.decoded
     assert verify_cost(t)
     assert t.cost == F(8, 7)
+
+
+def file_dict(t):
+    """The transcript as a loaded file holds it: lists, not tuples."""
+    return json.loads(json.dumps(transcript_to_dict(t)))
+
+
+def extra_cached_bit(data):
+    """Cache one more bit of every message, its value copied from the message."""
+    for m, (idx, vals) in enumerate(zip(data["cache"]["indices"], data["cache"]["values"])):
+        j = min(set(range(data["length"])) - set(idx))
+        idx.append(j)
+        vals.append((int(data["messages"][m], 16) >> j) & 1)
+
+
+def test_simulate_checks_output_directory_first(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.json"
+    code, text, err = run(
+        ["simulate", "--k", "4", "--n", "2", "--r", "7/9973", "--theta", "2",
+         "--seed", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert "i/o error" in err
+    assert text == ""
+    assert not out.parent.exists()
 
 
 def rename_bit(data, old, new):
@@ -180,6 +216,14 @@ def second_bit_of_undesired(data):
         lambda d: rename_bit(d, [1, 4], [1, 12]),
         lambda d: d["per_db"][0][0].append(list(d["per_db"][0][0][0])),
         second_bit_of_undesired,
+        lambda d: d["per_db"][0][0].reverse(),
+        lambda d: d["per_db"][0].__setitem__(0, frozenset(map(tuple, d["per_db"][0][0]))),
+        lambda d: d["per_db"][0][0][-1].__setitem__(0, 3),
+        lambda d: rename_bit(d, [1, 4], [1, 4.0]),
+        lambda d: d["cache"].update(
+            indices=d["cache"]["indices"][:2], values=d["cache"]["values"][:2]
+        ),
+        extra_cached_bit,
     ],
     ids=[
         "per_db_downloads",
@@ -195,10 +239,16 @@ def second_bit_of_undesired(data):
         "bit-out-of-range",
         "repeated-reference",
         "message-twice",
+        "out-of-order",
+        "frozenset",
+        "message-out-of-range",
+        "float-bit",
+        "cache-two-messages",
+        "cache-extra-bit",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
-    data = transcript_to_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
     assert data["per_db_downloads"] == [4, 4] and data["cost"] == "8/7"
     edit(data)
     with pytest.raises(ValueError):
@@ -211,7 +261,7 @@ def test_transcript_loader_refuses_inconsistent_file(edit):
     ids=["missing-key", "wrong-type"],
 )
 def test_transcript_loader_chains_malformed_input(edit, cause):
-    data = transcript_to_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
     edit(data)
     with pytest.raises(ValueError) as err:
         transcript_from_dict(data)
@@ -256,6 +306,41 @@ def test_audit_exact_oversized_exits_2(capsys):
     )
     assert code == 2
     assert "outcomes" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "montecarlo", "structural"])
+def test_audit_oversized_refused_before_allocating(mode, capsys):
+    # L(1) = 5 592 405 at (12, 4); the outcome count and k·L(1) are refused
+    # from the arguments alone.
+    tracemalloc.start()
+    try:
+        code, _, err = run(
+            ["audit", "--k", "12", "--n", "4", "--s", "1", "--mode", mode,
+             "--trials", "1000", "--seed", "1"],
+            capsys,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error" in err
+    assert peak < 2**20
+
+
+def test_audit_structural_certifies_every_desired_index(monkeypatch, capsys):
+    def leaky_at_theta_2(p, theta, r, seed):
+        plan = retrieve(p, theta, r, seed).plan
+        return SimpleNamespace(plan=drop_undesired_equation(plan) if theta == 2 else plan)
+
+    monkeypatch.setattr(cli, "retrieve", leaky_at_theta_2)
+    code, text, _ = run(
+        ["audit", "--k", "3", "--n", "2", "--s", "1", "--mode", "structural",
+         "--seed", "3"],
+        capsys,
+    )
+    assert code == 1
+    assert "detail:    theta 2: db 0:" in text
+    assert "verdict:   FAIL" in text
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])

@@ -67,23 +67,38 @@ def test_cache_state_validation():
         CacheState(length=4, indices=((5,),), values=((1,),))
     with pytest.raises(ValueError):
         CacheState(length=4, indices=((1, 1),), values=((0, 0),))
+    with pytest.raises(ValueError, match="misaligned"):
+        CacheState(length=4, indices=((1,), (2,)), values=((0,),))
 
 
 def test_answer_golden():
     store = MessageStore(count=2, length=2, bits=(0b01, 0b01))
-    assert answer(store, [frozenset({(0, 0)})]) == [1]
-    assert answer(store, [frozenset({(0, 0), (1, 0)})]) == [0]
-    assert answer(store, [frozenset({(0, 1), (1, 0)})]) == [1]
+    assert answer(store, [((0, 0),)]) == [1]
+    assert answer(store, [((0, 0), (1, 0))]) == [0]
+    assert answer(store, [((0, 1), (1, 0))]) == [1]
+
+
+def non_canonical_copies(eq):
+    """A frozenset copy, a reversed copy and a copy naming one message twice."""
+    copies = [frozenset(eq), eq + eq[-1:]]
+    if len(eq) > 1:
+        copies.append(eq[::-1])
+    return copies
 
 
 def test_answer_is_pure_and_range_checked():
     store = random_store(3, 7, 1)
-    eqs = [frozenset({(0, 1), (1, 0)}), frozenset({(2, 6)})]
+    eqs = [((0, 1), (1, 0)), ((2, 6),)]
     assert answer(store, eqs) == answer(store, eqs)
-    with pytest.raises(ContractViolation):
-        answer(store, [frozenset({(0, 7)})])
-    with pytest.raises(ContractViolation):
-        answer(store, [frozenset({(3, 0)})])
+    refused = [
+        ((0, 7),),  # bit out of range
+        ((3, 0),),  # message out of range
+        ((0, 1), (0, 2)),  # two bits of one message
+        *(odd for eq in eqs for odd in non_canonical_copies(eq)),
+    ]
+    for odd in refused:
+        with pytest.raises(ContractViolation, match="not canonical"):
+            answer(store, [eqs[0], odd])
 
 
 def reference_bits(word, length):
@@ -118,10 +133,19 @@ def test_pack_unpack_roundtrip(case):
 def test_data_path_matches_per_bit_reference(k, length, seed, data):
     store = random_store(k, length, seed)
     messages = [reference_bits(w, length) for w in store.bits]
-    refs = st.tuples(st.integers(0, k - 1), st.integers(0, length - 1))
-    eqs = data.draw(st.lists(st.frozensets(refs, max_size=k)))
+    # a sorted subset of the messages, one bit of each
+    equation = st.sets(st.integers(0, k - 1), min_size=1).flatmap(
+        lambda ms: st.tuples(
+            *(st.tuples(st.just(m), st.integers(0, length - 1)) for m in sorted(ms))
+        )
+    )
+    eqs = data.draw(st.lists(equation))
     expected = [sum(messages[m][j] for m, j in eq) % 2 for eq in eqs]
     assert answer(store, eqs) == expected
+    for eq in eqs:
+        for odd in non_canonical_copies(eq):
+            with pytest.raises(ContractViolation):
+                answer(store, [odd])
 
     cache = prefetch(store, data.draw(st.integers(0, length)), seed)
     for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
@@ -130,7 +154,7 @@ def test_data_path_matches_per_bit_reference(k, length, seed, data):
     # every uncached desired bit downloaded raw, alternating between the
     # two databases, so decode assembles the word from cache and answers
     theta = data.draw(st.integers(0, k - 1))
-    raw = [frozenset({(theta, j)}) for j in range(length) if j not in cache.indices[theta]]
+    raw = [((theta, j),) for j in range(length) if j not in cache.indices[theta]]
     plan = QueryPlan(
         k=k, n=2, length=length, theta=theta, r=F(0), seed=seed,
         blocks=((0, 1),), per_db=(tuple(raw[::2]), tuple(raw[1::2])),
@@ -191,18 +215,15 @@ def test_decode_hand_built_single_mix_table():
 @pytest.mark.parametrize(
     "odd", [((2, 1), (1, 1)), frozenset({(1, 1), (2, 1)})], ids=["unsorted", "frozenset"]
 )
-def test_decode_names_non_canonical_equation(odd):
-    # Side information is looked up by its canonical sorted tuple.  Stored in
-    # another form, b2+c2 at db 0 is the equation to name, not a7+b2+c2 at
-    # db 1, whose lookup of it fails.
-    store, cache, plan = single_mix_table()
+def test_answer_refuses_non_canonical_equation(odd):
+    # b2+c2 at db 0 stored out of canonical form: decode would look it up by
+    # its sorted tuple and miss it, so the database side refuses it first.
+    store, _, plan = single_mix_table()
     first = list(plan.per_db[0])
     first[2] = odd
-    plan = dataclasses.replace(plan, per_db=(tuple(first), plan.per_db[1]))
-    answers = [answer(store, list(eqs)) for eqs in plan.per_db]
-    with pytest.raises(DecodeError, match="not a tuple sorted by message") as err:
-        decode(plan, answers, cache)
-    assert (err.value.db, err.value.equation) == (0, odd)
+    with pytest.raises(ContractViolation, match="not canonical") as err:
+        answer(store, first)
+    assert repr(odd) in str(err.value)
 
 
 def test_decode_hand_built_double_mix_table():

@@ -1,5 +1,6 @@
 """Query-plan structure: round profiles, censuses, reuse patterns, memory-sharing."""
 
+import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -402,14 +403,17 @@ def test_equations_are_sorted_tuples(k, n, r):
         assert t.plan.total_downloads > 0
         assert_canonical(t.plan.per_db)
 
-        # the loader restores the canonical order whatever order the file lists
-        data = transcript_to_dict(t)
+        # the file lists each equation in canonical order, and the loader
+        # takes it as listed: reversed, the same file is refused
+        data = json.loads(json.dumps(transcript_to_dict(t)))
+        loaded = transcript_from_dict(data)
+        assert_canonical(loaded.plan.per_db)
+        assert loaded == t
         for eqs in data["per_db"]:
             for eq in eqs:
                 eq.reverse()
-        loaded = transcript_from_dict(data)
-        assert_canonical(loaded.plan.per_db)
-        assert loaded.plan.per_db == t.plan.per_db
+        with pytest.raises(ValueError, match="not canonical"):
+            transcript_from_dict(data)
 
     s = split_for_ratio(p, r).s
     layout = corner_equations(p, s, 0)
