@@ -7,12 +7,13 @@ vector of the desired message.  Every bit the decoder recovers is its answer
 XOR a downloaded sum or cached bits, so a transcript that decodes exactly is
 always in the span; the check guards the decoder, and is never the only one
 to fail.  The span is found by sparse elimination with the largest bit
-reference as pivot.  The rows are the plan's own equation tuples as they
-are, plus one single-reference tuple per cached bit, and a row becomes a set
-only when it is reduced, by symmetric difference with the basis row sharing
-its pivot.  Any total order on bits gives a valid echelon basis, and rows
-are only combined when they share a pivot bit, so no row ever grows past the
-connected component of the equation/bit incidence graph it came from.  Every
+reference x = m·L + j as pivot.  The rows are the plan's own equation
+tuples as they are, plus one single-reference tuple per cached bit, and a
+row becomes a set only when it is reduced, by symmetric difference with the
+basis row sharing its pivot.  Any total order on bits gives a valid echelon
+basis, and rows are only combined when they share a pivot bit, so no row
+ever grows past the connected component of the equation/bit incidence graph
+it came from.  Every
 such component of a composed plan lies inside one memory-sharing block, so
 the check is linear in the message length, and it reads no plan metadata.
 Costs are reconciled exactly against the bounds module.
@@ -22,12 +23,12 @@ relabeled by one uniform permutation per message, then shuffled.  That
 premise holds by construction and is not checked here: `prefetch` caches a
 uniform subset of each message, and `compose_plans` deals the cached and the
 uncached indices to the blocks in uniform order and shuffles each list.  The
-*support* of an equation is the tuple of messages it touches.  Two query
-lists that each use every bit at most once are relabelings of each other
-exactly when their support multisets agree.  So a plan is private when, for
+*support* of an equation is the tuple of messages x // L it touches.  Two
+query lists that each use every bit at most once are relabelings of each
+other exactly when their support multisets agree.  So a plan is private when, for
 each database,
 
-  (i)  no (m, j) reference appears twice, and
+  (i)  no bit reference appears twice, and
   (ii) the multiset of supports equals the census `round_profile` predicts
        for `plan.blocks`: a block of corner s gives every i-subset of the
        messages (n-1)^(i-s-1) equations for each i > s, and no subset with
@@ -38,8 +39,8 @@ and (ii) make every database's view distributed the same whatever the
 desired index.  The check is sufficient for any plan, and exact for plans
 that use each bit at most once per database, which is every plan `retrieve`
 ships.  A failing database is named in the report's `detail` with its first
-repeated bit, or its first subset with the count found and the count
-predicted.  The distributional audits keep their draws of the corner
+repeated bit, as (m, j), or its first subset with the count found and the
+count predicted.  The distributional audits keep their draws of the corner
 randomness, one permutation per message that relabels the corner layout,
 and certify every draw: exhaustively over every draw (tiny instances only)
 or over seeded samples.
@@ -93,9 +94,11 @@ def plan_signature(equations) -> tuple:
     reference colors, then references are refined once by the sorted multiset
     of colors of the equations containing them.  The result is invariant
     under query reordering and per-message bit relabeling, and never reads a
-    desired index.  No audit calls it: the support census replaced it.  It
-    stays because the benchmark's `--trace 1` wraps `audit.plan_signature`
-    by name and raises `AttributeError` when it is missing.
+    desired index.  References are (m, j) pairs, which a plan's equations
+    give under `divmod(x, plan.length)`.  No audit calls it: the support
+    census replaced it.  It stays because the benchmark's `--trace 1` wraps
+    `audit.plan_signature` by name and raises `AttributeError` when it is
+    missing.
     """
     eqs = list(equations)
     multiplicity = Counter(ref for eq in eqs for ref in eq)
@@ -157,8 +160,7 @@ def verify_decodability(t: Transcript) -> bool:
     single-reference tuple per cached bit, and are reduced by symmetric
     difference on their largest reference; a reduced row never leaves its
     component of the equation/bit incidence graph, so the work is linear in
-    the plan size and an out-of-range reference cannot alias another
-    message's bit.
+    the plan size.
     """
     try:
         redecoded = decode(t.plan, t.answers, t.cache)
@@ -167,11 +169,14 @@ def verify_decodability(t: Transcript) -> bool:
     if redecoded != t.decoded or redecoded != t.store.bits[t.plan.theta]:
         return False
 
+    length = t.length
     rows = [eq for eqs in t.plan.per_db for eq in eqs]
-    rows.extend(((m, j),) for m in range(t.params.k) for j in t.cache.indices[m])
+    rows.extend(
+        (m * length + j,) for m in range(t.params.k) for j in t.cache.indices[m]
+    )
     basis = _span_basis(rows)
-    theta = t.plan.theta
-    return all(_in_span(((theta, j),), basis) for j in range(t.length))
+    low = t.plan.theta * length
+    return all(_in_span((x,), basis) for x in range(low, low + length))
 
 
 def verify_cost(t: Transcript) -> bool:
@@ -200,16 +205,16 @@ def _predicted_supports(p: Params, blocks) -> Counter:
     return census
 
 
-def _violations(per_db, predicted: Counter) -> dict:
+def _violations(per_db, predicted: Counter, length: int) -> dict:
     """Why each failing database breaks (i) or (ii), keyed by database."""
     bad = {}
     for db, eqs in enumerate(per_db):
         if len(set(chain.from_iterable(eqs))) != sum(map(len, eqs)):
             uses = Counter(chain.from_iterable(eqs))
-            ref, times = next((r, n) for r, n in uses.items() if n > 1)
-            bad[db] = f"bit {ref} appears {times} times"
+            x, times = next((x, n) for x, n in uses.items() if n > 1)
+            bad[db] = f"bit {divmod(x, length)} appears {times} times"
             continue
-        found = Counter([tuple([m for m, _ in eq]) for eq in eqs])
+        found = Counter([tuple([x // length for x in eq]) for eq in eqs])
         if found.items() != predicted.items():
             subset = min(
                 (sub for sub in found.keys() | predicted.keys()
@@ -234,7 +239,7 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     passes.  Query order is deliberately ignored.
     """
     predicted = _predicted_supports(Params(plan.k, plan.n), plan.blocks)
-    bad = _violations(plan.per_db, predicted)
+    bad = _violations(plan.per_db, predicted, plan.length)
     per_db = tuple(Fraction(int(db in bad)) for db in range(plan.n))
     return PrivacyReport(
         mode="structural",
@@ -270,11 +275,13 @@ def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
     """Per database, the worst share over `thetas` of draws failing the certificate.
 
     `draws(theta)` yields one permutation per message, which relabels that
-    index's corner layout; `mutation`, when given, first sees the draw
-    wrapped in a one-block plan.  Each share is exact, so it is 0 on a
-    private scheme.  Also returns the first failing draw, explained.
+    index's corner layout onto references m·L(s) + j; `mutation`, when
+    given, first sees the draw wrapped in a one-block plan.  Each share is
+    exact, so it is 0 on a private scheme.  Also returns the first failing
+    draw, explained.
     """
     predicted = _predicted_supports(p, ((s, 1),))
+    length = _corner_shape(p, s)[0]
     worst = [Fraction(0)] * p.n
     first = ""
     for theta in thetas:
@@ -283,10 +290,10 @@ def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
         misses = [0] * p.n
         for perms in draws(theta):
             total += 1
-            per_db = relabel(layout, perms)
+            per_db = relabel(layout, perms, length)
             if mutation is not None:
                 per_db = mutation(_corner_plan(p, s, theta, per_db)).per_db
-            bad = _violations(per_db, predicted)
+            bad = _violations(per_db, predicted, length)
             for db in bad:
                 misses[db] += 1
             if bad and not first:
@@ -388,6 +395,12 @@ def montecarlo_privacy(
     )
 
 
+def _is_desired(plan: QueryPlan):
+    """Predicate on references: does x name a bit of the desired message?"""
+    low = plan.theta * plan.length
+    return range(low, low + plan.length).__contains__
+
+
 def _single_corner(plan: QueryPlan) -> int:
     real = [(s, count) for s, count in plan.blocks if s is not None]
     if len(real) != 1 or real[0][1] != 1:
@@ -402,18 +415,19 @@ def skip_message_symmetry(plan: QueryPlan) -> QueryPlan:
     without it misses its predicted count and the support census tells the
     desired index apart completely.
     """
+    desired = _is_desired(plan)
     per_db = tuple(
-        tuple(eq for eq in eqs if any(m == plan.theta for m, _ in eq))
-        for eqs in plan.per_db
+        tuple(eq for eq in eqs if any(map(desired, eq))) for eqs in plan.per_db
     )
     return replace(plan, per_db=per_db)
 
 
 def drop_undesired_equation(plan: QueryPlan) -> QueryPlan:
     """Negative control: delete one undesired equation from the first database."""
+    desired = _is_desired(plan)
     eqs = list(plan.per_db[0])
     for i, eq in enumerate(eqs):
-        if all(m != plan.theta for m, _ in eq):
+        if not any(map(desired, eq)):
             del eqs[i]
             break
     else:
@@ -432,17 +446,18 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
     if s < 1:
         raise ValueError("corner s=0 has no cached-bit mixtures to bias")
     size = s + 1
+    desired = _is_desired(plan)
     mixtures = []
     for eqs in plan.per_db:
         for eq in eqs:
-            if len(eq) == size and any(m == plan.theta for m, _ in eq):
-                mixtures.append(tuple(ref for ref in eq if ref[0] != plan.theta))
+            if len(eq) == size and any(map(desired, eq)):
+                mixtures.append(tuple(x for x in eq if not desired(x)))
     pinned = min(mixtures)
     per_db = []
     for eqs in plan.per_db:
         rewritten = []
         for eq in eqs:
-            own = [ref for ref in eq if ref[0] == plan.theta]
+            own = [x for x in eq if desired(x)]
             if len(eq) == size and own:
                 rewritten.append(tuple(sorted([*own, *pinned])))
             else:

@@ -69,10 +69,15 @@ def decimal_str(value: Fraction, precision: int = 12) -> str:
 # ---------------------------------------------------------------------------
 # transcript files
 
+# Format 2 lists each equation as its sorted int references m·length + j.
+# Format 1, a file with no "format" key, listed [m, j] pairs.
+TRANSCRIPT_FORMAT = 2
+
 
 def transcript_to_dict(t: Transcript) -> dict:
     """The transcript as JSON-ready values; `json` writes its tuples as arrays."""
     return {
+        "format": TRANSCRIPT_FORMAT,
         "k": t.params.k,
         "n": t.params.n,
         "theta": t.plan.theta,
@@ -91,13 +96,54 @@ def transcript_to_dict(t: Transcript) -> dict:
     }
 
 
+def _flat_from_pairs(eq, k: int, length: int):
+    """A format-1 equation's [m, j] pairs as int references m·length + j.
+
+    Each pair is checked before it is converted, so (m, length + 3) is
+    refused rather than read as (m + 1, 3).  Anything but a list or tuple is
+    returned as it is, for `is_canonical` to refuse.
+    """
+    if type(eq) not in (list, tuple):
+        return eq
+    flat = []
+    for ref in eq:
+        if type(ref) not in (list, tuple) or len(ref) != 2:
+            raise ValueError(f"transcript bit reference {ref!r} is not an [m, j] pair")
+        m, j = ref
+        if not (type(m) is int is type(j) and 0 <= m < k and 0 <= j < length):
+            raise ValueError(
+                f"transcript bit reference {ref!r} is outside {k} messages "
+                f"of {length} bits"
+            )
+        flat.append(m * length + j)
+    return tuple(flat)
+
+
+def _equations(data: dict, k: int, length: int):
+    """The file's per-database equations as tuples of int references."""
+    version = data.get("format", 1)
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unknown transcript format {version!r}")
+    if version == 1:
+        return tuple(
+            tuple(_flat_from_pairs(eq, k, length) for eq in eqs) for eqs in data["per_db"]
+        )
+    return tuple(
+        tuple(tuple(eq) if type(eq) is list else eq for eq in eqs)
+        for eqs in data["per_db"]
+    )
+
+
 def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript and check the file's recorded values against it.
 
-    A missing key, a wrong type, answers, cached values or decoded bits that
-    are not 0/1, an equation that is not `scheme.is_canonical` (listed out
-    of order, naming one message twice, or a bit outside range(k) ×
-    range(length); none is re-sorted), answers that do not match the
+    Format 2 files (see `TRANSCRIPT_FORMAT`) and format 1 files, which carry
+    no "format" key and list [m, j] pairs, both load; each format-1 pair
+    must name a message in range(k) and a bit in range(length).  An unknown
+    format, a missing key, a wrong type, answers, cached values or decoded
+    bits that are not 0/1, an equation that is not `scheme.is_canonical`
+    (listed out of order, naming one message twice, or a reference outside
+    range(k·length); none is re-sorted), answers that do not match the
     queries, a decoded message that is not `length` bits, recorded counts,
     cost, length or blocks that differ from the ones the queries and the
     ratio give, or a cache that does not hold the ratio's number of bits for
@@ -114,10 +160,7 @@ def transcript_from_dict(data: dict) -> Transcript:
             r=Fraction(data["r"]),
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
-            per_db=tuple(
-                tuple(tuple(map(tuple, eq)) if type(eq) is list else eq for eq in eqs)
-                for eqs in data["per_db"]
-            ),
+            per_db=_equations(data, params.k, length),
         )
         for eq in chain.from_iterable(plan.per_db):
             if not is_canonical(eq, params.k, length):

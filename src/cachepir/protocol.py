@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .bounds import Params, _check_theta
 from .rng import derive_rng
@@ -20,7 +19,7 @@ from .scheme import (
     ContractViolation,
     Equation,
     QueryPlan,
-    compose_plans,
+    _compose,
     is_canonical,
     split_for_ratio,
 )
@@ -111,9 +110,6 @@ class CacheState:
     def bits_per_message(self) -> int:
         return len(self.indices[0]) if self.indices else 0
 
-    def maps(self) -> list[dict[int, int]]:
-        return [dict(zip(idx, vals)) for idx, vals in zip(self.indices, self.values)]
-
 
 def prefetch(store: MessageStore, bits_per_message: int, seed) -> CacheState:
     """Cache a uniform random index subset of every message, values copied in.
@@ -141,18 +137,20 @@ def answer(store: MessageStore, equations: list[Equation]) -> list[int]:
 
     Pure function of (store, equations): this is the whole database-side
     computation, and by taking no cache and no desired index it cannot leak
-    what it never sees.  An equation that is not `scheme.is_canonical` over
-    the store (a frozenset, unsorted, a repeated message, a bit out of
-    range) raises ContractViolation.
+    what it never sees.  Reference x = m·L + j reads byte x of the k
+    messages unpacked end to end.  An equation that is not
+    `scheme.is_canonical` over the store (a frozenset, unsorted, a repeated
+    message, a reference out of range) raises ContractViolation.
     """
-    messages = [unpack_bits(w, store.length) for w in store.bits]
+    k, length = store.count, store.length
+    bits = b"".join([unpack_bits(w, length) for w in store.bits])
     out = []
     for eq in equations:
-        if not is_canonical(eq, store.count, store.length):
+        if not is_canonical(eq, k, length):
             raise ContractViolation(f"equation {eq!r} is not canonical (see is_canonical)")
         acc = 0
-        for m, j in eq:
-            acc ^= messages[m][j]
+        for x in eq:
+            acc ^= bits[x]
         out.append(acc)
     return out
 
@@ -178,25 +176,32 @@ class DecodeError(Exception):
 def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     """Recover the desired message from the answers, packed little-endian.
 
-    Every downloaded sum without a desired-message term is side information
-    whose value is its own answer bit; every sum with a desired term is
-    cancelled either against cached bits or against one such side-information
-    sum appearing verbatim inside it (dropping the desired term keeps the
-    equation's canonical order, so the rest is looked up as it is).  Cached
-    desired bits are copied from the cache.  Structural problems
-    (unresolvable sums, unrecovered or conflicting bits) raise DecodeError
-    rather than returning wrong content.
+    Every downloaded sum without a desired-message term (a reference in
+    θ·L <= x < (θ+1)·L) is side information whose value is its own answer
+    bit; every sum with a desired term is cancelled either against cached
+    bits or against one such side-information sum appearing verbatim inside
+    it (dropping the desired term keeps the equation's canonical order, so
+    the rest is looked up as it is).  Cached desired bits are copied from
+    the cache.  Structural problems (unresolvable sums, unrecovered or
+    conflicting bits) raise DecodeError rather than returning wrong content.
     """
     if len(answers) != plan.n:
         raise ContractViolation("answers do not cover every database")
+    length = plan.length
+    if cache.length != length:
+        raise ContractViolation(
+            f"cache holds messages of {cache.length} bits, the plan {length}"
+        )
     theta = plan.theta
+    low = theta * length
+    high = low + length
     side: dict[Equation, int] = {}
-    desired: list[tuple[int, Equation, tuple[int, int], int]] = []
+    desired: list[tuple[int, Equation, int, int]] = []
     for db, (eqs, bits) in enumerate(zip(plan.per_db, answers)):
         if len(eqs) != len(bits):
             raise ContractViolation(f"answer length mismatch at database {db}")
         for eq, value in zip(eqs, bits):
-            own = [ref for ref in eq if ref[0] == theta]
+            own = [x for x in eq if low <= x < high]
             if not own:
                 side[eq] = value
             elif len(own) == 1:
@@ -208,27 +213,31 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
                     equation=eq,
                 )
 
-    lookup = cache.maps()
-    recovered: dict[int, int] = dict(lookup[theta])
-    for db, eq, (_, j), value in desired:
-        rest = tuple([ref for ref in eq if ref[0] != theta])  # see scheme.relabel
+    # One dict per message: a flat dict keyed m·L + j would allocate an int
+    # per cached bit, and took twice as long to build at r near 1/2.
+    lookup = [dict(zip(idx, vals)) for idx, vals in zip(cache.indices, cache.values)]
+    recovered: dict[int, int] = dict(zip(cache.indices[theta], cache.values[theta]))
+    for db, eq, x, value in desired:
+        rest = tuple([y for y in eq if y != x])  # see scheme.relabel
         if not rest:
             bit = value
         elif rest in side:
             bit = value ^ side[rest]
-        elif all(b in lookup[m] for m, b in rest):
-            bit = value ^ reduce(lambda acc, ref: acc ^ lookup[ref[0]][ref[1]], rest, 0)
         else:
-            raise DecodeError(
-                "side information neither cached nor downloaded",
-                db=db,
-                equation=eq,
-            )
+            try:
+                bit = value ^ (sum([lookup[y // length][y % length] for y in rest]) & 1)
+            except (KeyError, IndexError):
+                raise DecodeError(
+                    "side information neither cached nor downloaded",
+                    db=db,
+                    equation=eq,
+                ) from None
+        j = x - low
         if recovered.get(j, bit) != bit:
             raise DecodeError("conflicting recoveries for desired bit", db=db, equation=eq)
         recovered[j] = bit
 
-    wanted = range(plan.length)
+    wanted = range(length)
     if recovered.keys() != set(wanted):
         raise DecodeError(
             "desired bits unrecovered",
@@ -296,7 +305,7 @@ def retrieve(p: Params, theta: int, r, seed) -> Transcript:
         )
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
-    plan = compose_plans(p, r, theta, cache, seed)
+    plan = _compose(p, split, Fraction(r), theta, cache, seed)
     answers = tuple(tuple(answer(store, eqs)) for eqs in plan.per_db)
     decoded = decode(plan, answers, cache)
     return Transcript(plan=plan, answers=answers, decoded=decoded, store=store, cache=cache)

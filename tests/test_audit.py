@@ -42,7 +42,7 @@ def tampered(t, **changes):
 def dense_rank_check(t):
     """Reference rank verdict over dense rows: one k·L-bit int per equation."""
     length = t.length
-    rows = [sum(1 << (m * length + j) for m, j in eq) for eqs in t.plan.per_db for eq in eqs]
+    rows = [sum(1 << x for x in eq) for eqs in t.plan.per_db for eq in eqs]
     rows.extend(
         1 << (m * length + j) for m in range(t.params.k) for j in t.cache.indices[m]
     )
@@ -63,10 +63,14 @@ def dense_rank_check(t):
 
 def sparse_rank_check(t):
     """The rank verdict alone, on the rows `verify_decodability` builds."""
+    length = t.length
     rows = [eq for eqs in t.plan.per_db for eq in eqs]
-    rows.extend(frozenset({(m, j)}) for m in range(t.params.k) for j in t.cache.indices[m])
+    rows.extend(
+        frozenset({m * length + j}) for m in range(t.params.k) for j in t.cache.indices[m]
+    )
     basis = _span_basis(rows)
-    return all(_in_span(frozenset({(t.plan.theta, j)}), basis) for j in range(t.length))
+    low = t.plan.theta * length
+    return all(_in_span(frozenset({x}), basis) for x in range(low, low + length))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def deleted_equation():
     t = retrieve(Params(3, 2), 0, F(1, 7), 2)
     eqs = [list(e) for e in t.plan.per_db]
     answers = [list(a) for a in t.answers]
-    drop = next(i for i, eq in enumerate(eqs[0]) if any(m == 0 for m, _ in eq))
+    drop = next(i for i, eq in enumerate(eqs[0]) if eq[0] < t.length)
     del eqs[0][drop]
     del answers[0][drop]
     plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
@@ -136,17 +140,14 @@ def swapped_reference():
     # swap one desired bit reference for an already-used one: every equation
     # still resolves, but one desired bit is never recovered and the span
     # loses its unit vector
+    # (desired index 0, so desired references are the x < L, first in order)
     t = retrieve(Params(3, 2), 0, F(1, 7), 3)
     eqs = [list(e) for e in t.plan.per_db]
-    source = next(eq for eq in eqs[0] if any(m == 0 for m, _ in eq))
+    source = next(eq for eq in eqs[0] if eq[0] < t.length)
     target_idx, target = next(
-        (i, eq)
-        for i, eq in enumerate(eqs[1])
-        if any(m == 0 for m, _ in eq) and eq != source
+        (i, eq) for i, eq in enumerate(eqs[1]) if eq[0] < t.length and eq != source
     )
-    src_ref = next(ref for ref in source if ref[0] == 0)
-    dst_ref = next(ref for ref in target if ref[0] == 0)
-    eqs[1][target_idx] = tuple(src_ref if ref == dst_ref else ref for ref in target)
+    eqs[1][target_idx] = (source[0], *target[1:])
     plan = dataclasses.replace(t.plan, per_db=tuple(tuple(e) for e in eqs))
     answers = tuple(tuple(answer(t.store, list(e))) for e in plan.per_db)
     return tampered(t, plan=plan, answers=answers)
@@ -192,7 +193,7 @@ def test_rank_check_agrees_with_dense_reference(make, decodable, spanned):
 
 
 def test_span_helpers_control():
-    a, b, c = (0, 0), (0, 1), (1, 0)
+    a, b, c = 0, 1, 7
     basis = _span_basis([frozenset({a, b}), frozenset({b, c})])
     assert _in_span(frozenset({a, c}), basis)
     assert not _in_span(frozenset({a}), basis)
@@ -246,7 +247,7 @@ def test_verify_cost_catches_wrong_total():
 
 def test_signature_invariances():
     t = retrieve(Params(4, 2), 0, F(1, 15), 5)
-    eqs = list(t.plan.per_db[0])
+    eqs = [[divmod(x, t.length) for x in eq] for eq in t.plan.per_db[0]]
     sig = plan_signature(eqs)
     assert plan_signature(list(reversed(eqs))) == sig
     relabeled = [
@@ -287,9 +288,10 @@ def reused_bit(plan):
     # The first database puts the first bit of its first equation into a
     # later equation on the same message: every support is unchanged.
     eqs = list(plan.per_db[0])
-    m, j = eqs[0][0]
-    i = next(i for i, eq in enumerate(eqs) if i and any(ref[0] == m for ref in eq))
-    eqs[i] = tuple([(m, j) if ref[0] == m else ref for ref in eqs[i]])
+    x = eqs[0][0]
+    m = x // plan.length
+    i = next(i for i, eq in enumerate(eqs) if i and any(y // plan.length == m for y in eq))
+    eqs[i] = tuple([x if y // plan.length == m else y for y in eqs[i]])
     return dataclasses.replace(plan, per_db=(tuple(eqs),) + plan.per_db[1:])
 
 
@@ -326,7 +328,8 @@ def test_failing_certificate_explains_itself():
         "db 1: subset (1, 2, 3) has 0 equations, round_profile predicts 1"
     )
     report = structural_symmetry(reused_bit(t.plan))
-    assert report.detail == f"db 0: bit {t.plan.per_db[0][0][0]} appears 2 times"
+    bit = divmod(t.plan.per_db[0][0][0], t.length)
+    assert report.detail == f"db 0: bit {bit} appears 2 times"
     report = montecarlo_privacy(
         Params(3, 2), 1, 1000, seed=7, mutation=skip_message_symmetry
     )
@@ -402,8 +405,12 @@ def test_layout_bit_budget(k, n, s):
     length = corner_message_length(p, s)
     cached = binom(k - 2, s - 1)
     for theta in range(k):
-        eqs = [eq for db_eqs in corner_equations(p, s, theta) for eq in db_eqs]
-        assert all(0 <= j < length for eq in eqs for _, j in eq)
+        eqs = [
+            [divmod(x, length) for x in eq]
+            for db_eqs in corner_equations(p, s, theta)
+            for eq in db_eqs
+        ]
+        assert all(0 <= m < k for eq in eqs for m, _ in eq)
         desired = sorted(j for eq in eqs for m, j in eq if m == theta)
         assert desired == list(range(cached, length))
         for eq in eqs:
@@ -435,10 +442,12 @@ def test_montecarlo_draw_matches_shipped_supports(k, n, s):
         shipped = retrieve(p, theta, corner_ratio(p, s), seed).plan
         rng = derive_rng(seed, "mc", theta)
         perms = [rng.sample(range(length), length) for _ in range(k)]
-        draw = _corner_plan(p, s, theta, relabel(corner_equations(p, s, theta), perms))
+        draw = _corner_plan(
+            p, s, theta, relabel(corner_equations(p, s, theta), perms, length)
+        )
         for got, want in zip(draw.per_db, shipped.per_db):
-            assert Counter(tuple(m for m, _ in eq) for eq in got) == Counter(
-                tuple(m for m, _ in eq) for eq in want
+            assert Counter(tuple(x // length for x in eq) for eq in got) == Counter(
+                tuple(x // length for x in eq) for eq in want
             )
         assert structural_symmetry(draw).passed
         assert structural_symmetry(shipped).passed

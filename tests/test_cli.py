@@ -184,20 +184,26 @@ def test_simulate_checks_output_directory_first(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def rename_bit(data, old, new):
-    """Rename one bit reference in every equation of a transcript dict."""
-    for eqs in data["per_db"]:
-        for eq in eqs:
-            for ref in eq:
-                if ref == old:
-                    ref[:] = new
+# The refusal tests edit the file of retrieve(Params(3, 2), 0, 1/7, 1): k = 3
+# messages of L = 7 bits, desired index 0, so bit j of message m is 7·m + j.
+K, L = 3, 7
+
+
+def set_last_reference(data, x):
+    """Replace the last reference of the first equation, keeping the rest."""
+    data["per_db"][0][0][-1] = x
 
 
 def second_bit_of_undesired(data):
-    """Add to an undesired equation a second bit of a message it already names."""
-    eq = next(eq for eq in data["per_db"][0] if all(m != data["theta"] for m, _ in eq))
-    m, b = eq[0]
-    eq.append([m, (b + 1) % data["length"]])
+    """Add to an undesired equation a second bit of a message it already names.
+
+    The equation stays a strictly increasing int list: only the messages
+    x // L show the fault.
+    """
+    eq = next(eq for eq in data["per_db"][0] if eq[0] >= L)
+    m, j = divmod(eq[-1], L)
+    eq.append(m * L + (j + 1) % L)
+    eq.sort()
 
 
 @pytest.mark.parametrize(
@@ -213,17 +219,21 @@ def second_bit_of_undesired(data):
         lambda d: d["cache"]["values"][0].__setitem__(0, 3),
         lambda d: d["decoded"].__setitem__(0, 2),
         lambda d: d["decoded"].pop(),
-        lambda d: rename_bit(d, [1, 4], [1, 12]),
-        lambda d: d["per_db"][0][0].append(list(d["per_db"][0][0][0])),
+        lambda d: set_last_reference(d, K * L),
+        lambda d: d["per_db"][0][0].append(d["per_db"][0][0][0]),
         second_bit_of_undesired,
         lambda d: d["per_db"][0][0].reverse(),
-        lambda d: d["per_db"][0].__setitem__(0, frozenset(map(tuple, d["per_db"][0][0]))),
-        lambda d: d["per_db"][0][0][-1].__setitem__(0, 3),
-        lambda d: rename_bit(d, [1, 4], [1, 4.0]),
+        lambda d: d["per_db"][0].__setitem__(0, frozenset(d["per_db"][0][0])),
+        lambda d: set_last_reference(d, K * L + d["per_db"][0][0][-1] % L),
+        lambda d: set_last_reference(d, float(d["per_db"][0][0][-1])),
         lambda d: d["cache"].update(
             indices=d["cache"]["indices"][:2], values=d["cache"]["values"][:2]
         ),
         extra_cached_bit,
+        lambda d: d["per_db"][0][0].__setitem__(0, -1),
+        lambda d: d["per_db"][0][0].__setitem__(0, True),
+        lambda d: d.update(format=3),
+        lambda d: d.update(format="2"),
     ],
     ids=[
         "per_db_downloads",
@@ -245,6 +255,10 @@ def second_bit_of_undesired(data):
         "float-bit",
         "cache-two-messages",
         "cache-extra-bit",
+        "negative-reference",
+        "bool-reference",
+        "unknown-format",
+        "string-format",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
@@ -253,6 +267,85 @@ def test_transcript_loader_refuses_inconsistent_file(edit):
     edit(data)
     with pytest.raises(ValueError):
         transcript_from_dict(data)
+
+
+def format_1_dict(t):
+    """The transcript as a format-1 file held it: [m, j] pairs, no "format" key."""
+    data = file_dict(t)
+    del data["format"]
+    data["per_db"] = [
+        [[list(divmod(x, t.length)) for x in eq] for eq in eqs] for eqs in data["per_db"]
+    ]
+    return data
+
+
+@pytest.mark.parametrize(
+    "k,n,r,theta,seed",
+    [(4, 3, F(2, 17), 1, 42), (4, 2, F(4501, 9000), 3, 7), (3, 2, F(1, 5), 2, 9)],
+)
+def test_format_1_and_2_files_load_to_equal_transcripts(k, n, r, theta, seed):
+    t = retrieve(Params(k, n), theta, r, seed)
+    old, new = format_1_dict(t), file_dict(t)
+    assert "format" not in old and new["format"] == 2
+    assert transcript_from_dict(old) == transcript_from_dict(new) == t
+
+
+def alias_into_next_message(data):
+    """Rename (m, j), the last pair of an equation with m < k-1, to (m, L + 3)."""
+    eq = next(eq for eq in data["per_db"][0] if eq[-1][0] < K - 1)
+    eq[-1][1] = L + 3
+    return eq
+
+
+def test_format_1_pair_past_its_message_is_not_aliased():
+    # (m, L + 3) would read as m·L + L + 3 = (m + 1)·L + 3: a canonical
+    # reference to bit 3 of the next message, which nothing else checks.
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    data = format_1_dict(t)
+    eq = alias_into_next_message(data)
+    with pytest.raises(ValueError, match=r"outside 3 messages of 7 bits"):
+        transcript_from_dict(data)
+    eq[-1][:] = divmod(eq[-1][0] * L + eq[-1][1], L)  # the aliased pair itself
+    transcript_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["per_db"][0][0][-1].__setitem__(1, -1),
+        lambda d: d["per_db"][0][0][-1].__setitem__(0, K),
+        lambda d: d["per_db"][0][0][-1].__setitem__(1, 4.0),
+        lambda d: d["per_db"][0][0][0].__setitem__(0, False),
+        lambda d: d["per_db"][0][0][-1].append(0),
+        lambda d: d["per_db"][0][0].__setitem__(0, 4),
+        lambda d: d["per_db"][0][0].reverse(),
+        lambda d: d["per_db"][0][0].append(list(d["per_db"][0][0][-1])),
+        lambda d: d["per_db"][0].__setitem__(0, frozenset(map(tuple, d["per_db"][0][0]))),
+        lambda d: d.update(format=1.0),
+    ],
+    ids=["negative-bit", "message-k", "float-bit", "bool-message", "triple",
+         "bare-int", "out-of-order", "repeated-reference", "frozenset", "float-format"],
+)
+def test_format_1_loader_refuses_bad_pairs(edit):
+    data = format_1_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    transcript_from_dict(data)
+    edit(data)
+    with pytest.raises(ValueError):
+        transcript_from_dict(data)
+
+
+def test_simulate_out_writes_format_2(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code, _, _ = run(
+        ["simulate", "--k", "4", "--n", "2", "--r", "1/50", "--theta", "1",
+         "--seed", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["format"] == 2
+    assert all(type(x) is int for eqs in data["per_db"] for eq in eqs for x in eq)
+    assert load_transcript(str(out)) == retrieve(Params(4, 2), 1, F(1, 50), 5)
 
 
 @pytest.mark.parametrize(

@@ -71,11 +71,16 @@ def test_cache_state_validation():
         CacheState(length=4, indices=((1,), (2,)), values=((0,),))
 
 
+def flat(refs, length):
+    """(m, j) pairs as the sorted int references m·length + j of one equation."""
+    return tuple(sorted(m * length + j for m, j in refs))
+
+
 def test_answer_golden():
     store = MessageStore(count=2, length=2, bits=(0b01, 0b01))
-    assert answer(store, [((0, 0),)]) == [1]
-    assert answer(store, [((0, 0), (1, 0))]) == [0]
-    assert answer(store, [((0, 1), (1, 0))]) == [1]
+    assert answer(store, [(0,)]) == [1]  # a0
+    assert answer(store, [(0, 2)]) == [0]  # a0 + b0
+    assert answer(store, [(1, 2)]) == [1]  # a1 + b0
 
 
 def non_canonical_copies(eq):
@@ -88,12 +93,16 @@ def non_canonical_copies(eq):
 
 def test_answer_is_pure_and_range_checked():
     store = random_store(3, 7, 1)
-    eqs = [((0, 1), (1, 0)), ((2, 6),)]
+    eqs = [(1, 7), (20,)]  # a1 + b0, c6
     assert answer(store, eqs) == answer(store, eqs)
     refused = [
-        ((0, 7),),  # bit out of range
-        ((3, 0),),  # message out of range
-        ((0, 1), (0, 2)),  # two bits of one message
+        (21,),  # past the last bit of the last message
+        (-1,),
+        (1, 2),  # two bits of one message
+        (7 + 1, 7 + 5),  # the same, increasing ints in message 1
+        (True,),
+        (1.0,),
+        [1, 7],  # a list in place of a tuple
         *(odd for eq in eqs for odd in non_canonical_copies(eq)),
     ]
     for odd in refused:
@@ -139,8 +148,8 @@ def test_data_path_matches_per_bit_reference(k, length, seed, data):
             *(st.tuples(st.just(m), st.integers(0, length - 1)) for m in sorted(ms))
         )
     )
-    eqs = data.draw(st.lists(equation))
-    expected = [sum(messages[m][j] for m, j in eq) % 2 for eq in eqs]
+    eqs = [flat(eq, length) for eq in data.draw(st.lists(equation))]
+    expected = [sum(messages[x // length][x % length] for x in eq) % 2 for eq in eqs]
     assert answer(store, eqs) == expected
     for eq in eqs:
         for odd in non_canonical_copies(eq):
@@ -154,7 +163,7 @@ def test_data_path_matches_per_bit_reference(k, length, seed, data):
     # every uncached desired bit downloaded raw, alternating between the
     # two databases, so decode assembles the word from cache and answers
     theta = data.draw(st.integers(0, k - 1))
-    raw = [((theta, j),) for j in range(length) if j not in cache.indices[theta]]
+    raw = [(theta * length + j,) for j in range(length) if j not in cache.indices[theta]]
     plan = QueryPlan(
         k=k, n=2, length=length, theta=theta, r=F(0), seed=seed,
         blocks=((0, 1),), per_db=(tuple(raw[::2]), tuple(raw[1::2])),
@@ -178,7 +187,7 @@ def manual_two_db_plan(length, per_db, theta, r, s):
         r=r,
         seed=None,
         blocks=((s, 1),),
-        per_db=tuple(tuple(tuple(sorted(eq)) for eq in eqs) for eqs in per_db),
+        per_db=tuple(tuple(flat(eq, length) for eq in eqs) for eqs in per_db),
     )
 
 
@@ -213,7 +222,7 @@ def test_decode_hand_built_single_mix_table():
 
 
 @pytest.mark.parametrize(
-    "odd", [((2, 1), (1, 1)), frozenset({(1, 1), (2, 1)})], ids=["unsorted", "frozenset"]
+    "odd", [(2 * 7 + 1, 7 + 1), frozenset({7 + 1, 2 * 7 + 1})], ids=["unsorted", "frozenset"]
 )
 def test_answer_refuses_non_canonical_equation(odd):
     # b2+c2 at db 0 stored out of canonical form: decode would look it up by
@@ -239,6 +248,16 @@ def test_decode_hand_built_double_mix_table():
     plan = manual_two_db_plan(3, [db1, db2], theta=0, r=F(1, 3), s=2)
     answers = [answer(store, list(eqs)) for eqs in plan.per_db]
     assert decode(plan, answers, cache) == store.bits[0]
+
+
+def test_decode_refuses_cache_of_other_length():
+    # A cache over longer messages would put its bit (m, 7) at the plan's
+    # reference m·7 + 7, bit 0 of message m + 1.
+    store, _, plan = single_mix_table()
+    answers = [answer(store, list(eqs)) for eqs in plan.per_db]
+    longer = prefetch(random_store(3, 8, 99), 1, 99)
+    with pytest.raises(ContractViolation, match="cache holds messages of 8 bits"):
+        decode(plan, answers, longer)
 
 
 def test_decode_full_cache_copies():
@@ -274,9 +293,7 @@ def test_decode_unrecovered_bits_reported():
     pruned = [list(eqs) for eqs in t.plan.per_db]
     pruned_answers = [list(a) for a in t.answers]
     # drop one desired equation together with its answer bit
-    drop = next(
-        i for i, eq in enumerate(pruned[0]) if any(m == 0 for m, _ in eq)
-    )
+    drop = next(i for i, eq in enumerate(pruned[0]) if eq[0] < t.length)
     del pruned[0][drop]
     del pruned_answers[0][drop]
     plan = QueryPlan(
@@ -296,8 +313,9 @@ def test_decode_unrecovered_bits_reported():
 
 
 def test_decode_refuses_out_of_range_desired_bit():
-    # (0, 5) renamed (0, 7) in a length-7 table: as many bits are recovered
-    # as the message holds, but bit 5 is not among them.
+    # (0, 5) renamed (0, 7) in a length-7 table.  As an int that is bit 0 of
+    # message 1: decode takes desired terms from θ·L <= x < (θ+1)·L only, so
+    # the equation is side information and bit 5 is never recovered.
     store = random_store(3, 7, 99)
     cache = CacheState(
         length=7,

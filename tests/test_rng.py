@@ -39,10 +39,19 @@ def test_shuffle_is_random_shuffle_bit_for_bit(n):
         assert rng.getstate() == twin.getstate()
 
 
+def as_pairs(per_db, length):
+    """Int references x as the (m, j) pairs, divmod(x, length), that the digests hashed."""
+    return tuple(tuple(tuple(divmod(x, length) for x in eq) for eq in eqs) for eqs in per_db)
+
+
 def test_transcript_digest_is_pinned():
     # Cache choice, dealing and the final shuffles all feed this transcript.
+    # The digest was taken over format-1 files: pairs and no "format" key.
     t = retrieve(Params(4, 2), 1, F(1, 50), 5)
-    text = json.dumps(transcript_to_dict(t), sort_keys=True)
+    data = transcript_to_dict(t)
+    assert data.pop("format") == 2
+    data["per_db"] = as_pairs(data["per_db"], t.length)
+    text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "da809e3b5118ef06e333428648382e0f098c3e2efd377d4892f09cfbb826e929"
     )
@@ -53,7 +62,7 @@ def test_montecarlo_draw_stream_is_pinned():
     digest = hashlib.sha256()
 
     def record(plan):
-        digest.update(repr(plan.per_db).encode())
+        digest.update(repr(as_pairs(plan.per_db, plan.length)).encode())
         return plan
 
     assert montecarlo_privacy(Params(3, 2), 1, 1000, 7, mutation=record).passed

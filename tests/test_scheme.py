@@ -19,6 +19,7 @@ from cachepir import (
     corner_equations,
     corner_message_length,
     corner_ratio,
+    is_canonical,
     outer_bound,
     prefetch,
     random_store,
@@ -37,8 +38,8 @@ def make_plan(k, n, s, theta=0, seed=0):
     return build_corner_plan(p, s, theta, cache, seed)
 
 
-def census(equations):
-    return Counter((len(eq), frozenset(m for m, _ in eq)) for eq in equations)
+def census(equations, length):
+    return Counter((len(eq), frozenset(x // length for x in eq)) for eq in equations)
 
 
 def subsets(k, size):
@@ -133,7 +134,7 @@ def test_corner_plan_census_matches_query_tables(key):
     }
     plan = make_plan(k, n, s, theta=0, seed=7)
     for eqs in plan.per_db:
-        assert census(eqs) == expected
+        assert census(eqs, plan.length) == expected
 
 
 def test_plan_counts_match_profile():
@@ -161,7 +162,7 @@ def test_census_constant_over_subsets_and_theta():
         for theta in range(k):
             plan = make_plan(k, n, s, theta=theta, seed=11)
             for eqs in plan.per_db:
-                c = census(eqs)
+                c = census(eqs, plan.length)
                 for size in {size for size, _ in c}:
                     counts = {c.get((size, sub), 0) for sub in subsets(k, size)}
                     assert len(counts) == 1
@@ -174,19 +175,20 @@ def test_census_constant_over_subsets_and_theta():
 def test_mixtures_shared_across_databases():
     for k, n, s in [(3, 2, 1), (4, 3, 2), (5, 2, 3)]:
         plan = make_plan(k, n, s, theta=0, seed=9)
+        length = plan.length
         per_db_mixtures = []
         for eqs in plan.per_db:
             mixtures = sorted(
-                tuple(sorted(ref for ref in eq if ref[0] != 0))
+                tuple(x for x in eq if x >= length)
                 for eq in eqs
-                if len(eq) == s + 1 and any(m == 0 for m, _ in eq)
+                if len(eq) == s + 1 and eq[0] < length
             )
             per_db_mixtures.append(mixtures)
         assert all(m == per_db_mixtures[0] for m in per_db_mixtures)
         # every undesired message contributes its whole cached pool once per db
         pool = binom(k - 2, s - 1)
-        flat = [ref for mix in per_db_mixtures[0] for ref in mix]
-        per_message = Counter(m for m, _ in flat)
+        flat = [x for mix in per_db_mixtures[0] for x in mix]
+        per_message = Counter(x // length for x in flat)
         assert all(per_message[m] == pool for m in range(1, k))
         assert len(set(flat)) == len(flat)  # each cached bit in exactly one mixture
 
@@ -194,15 +196,13 @@ def test_mixtures_shared_across_databases():
 def test_side_information_reuse():
     for k, n, s in [(3, 2, 1), (4, 3, 1), (4, 2, 0), (5, 2, 2)]:
         plan = make_plan(k, n, s, theta=0, seed=5)
-        undesired = [
-            {eq for eq in eqs if all(m != 0 for m, _ in eq)} for eqs in plan.per_db
-        ]
+        length = plan.length  # message 0 is desired: its bits are the x < length
+        undesired = [{eq for eq in eqs if eq[0] >= length} for eqs in plan.per_db]
         for db, eqs in enumerate(plan.per_db):
             for eq in eqs:
-                own = [ref for ref in eq if ref[0] == 0]
-                if not own or len(eq) == s + 1:
+                if eq[0] >= length or len(eq) == s + 1:
                     continue  # undesired, or opening round backed by the cache
-                rest = tuple(ref for ref in eq if ref[0] != 0)
+                rest = eq[1:]
                 assert any(
                     rest in undesired[other] for other in range(n) if other != db
                 ), f"round-{len(eq)} desired equation lacks a foreign donor"
@@ -218,14 +218,15 @@ def test_desired_bits_distinct_and_uncached():
         seen = []
         for eqs in plan.per_db:
             for eq in eqs:
-                for m, b in eq:
+                for x in eq:
+                    m, b = divmod(x, plan.length)
                     if m == 0:
                         assert b not in cached
                         seen.append(b)
         assert len(seen) == len(set(seen))
         # cached bits of the desired message never appear anywhere
-        refs = {ref for eqs in plan.per_db for eq in eqs for ref in eq}
-        assert not any((0, b) in refs for b in cached)
+        refs = {x for eqs in plan.per_db for eq in eqs for x in eq}
+        assert not any(b in refs for b in cached)
 
 
 def test_equation_terms_use_distinct_messages():
@@ -233,7 +234,7 @@ def test_equation_terms_use_distinct_messages():
         plan = make_plan(k, n, s, theta=0, seed=2)
         for eqs in plan.per_db:
             for eq in eqs:
-                assert len({m for m, _ in eq}) == len(eq)
+                assert len({x // plan.length for x in eq}) == len(eq)
                 assert 1 <= len(eq) <= k
 
 
@@ -335,7 +336,7 @@ def test_compose_one_fifth_census():
         (3, frozenset({0, 1, 2})): 2,
     }
     for eqs in plan.per_db:
-        assert census(eqs) == expected
+        assert census(eqs, plan.length) == expected
     assert F(plan.total_downloads, plan.length) == 1
 
 
@@ -380,15 +381,14 @@ def test_compose_cache_contract():
 # equation representation
 
 
-def assert_canonical(per_db):
-    """Every equation is a tuple of (int, int) references, messages increasing."""
+def assert_canonical(per_db, k, length):
+    """Every equation is a tuple of int references below k·length, messages increasing."""
     for eqs in per_db:
         for eq in eqs:
             assert type(eq) is tuple and eq
-            for ref in eq:
-                assert type(ref) is tuple and len(ref) == 2
-                assert all(type(x) is int for x in ref)
-            assert all(a[0] < b[0] for a, b in zip(eq, eq[1:])), eq
+            assert all(type(x) is int and 0 <= x < k * length for x in eq)
+            messages = [x // length for x in eq]
+            assert all(a < b for a, b in zip(messages, messages[1:])), eq
 
 
 @pytest.mark.parametrize(
@@ -401,13 +401,13 @@ def test_equations_are_sorted_tuples(k, n, r):
     for theta in (0, k - 1):
         t = retrieve(p, theta, r, seed=11)
         assert t.plan.total_downloads > 0
-        assert_canonical(t.plan.per_db)
+        assert_canonical(t.plan.per_db, k, t.length)
 
         # the file lists each equation in canonical order, and the loader
         # takes it as listed: reversed, the same file is refused
         data = json.loads(json.dumps(transcript_to_dict(t)))
         loaded = transcript_from_dict(data)
-        assert_canonical(loaded.plan.per_db)
+        assert_canonical(loaded.plan.per_db, k, t.length)
         assert loaded == t
         for eqs in data["per_db"]:
             for eq in eqs:
@@ -419,12 +419,39 @@ def test_equations_are_sorted_tuples(k, n, r):
     layout = corner_equations(p, s, 0)
     length = corner_message_length(p, s)
     perms = [list(reversed(range(length))) for _ in range(k)]
-    assert_canonical(layout)
-    assert_canonical(relabel(layout, perms))
+    assert_canonical(layout, k, length)
+    assert_canonical(relabel(layout, perms, length), k, length)
+    # onto a longer message, as a block of a composed plan is
+    assert_canonical(relabel(layout, perms, 3 * length), k, 3 * length)
+
+
+# Flat references that are not canonical over k=3 messages of 7 bits; answer
+# and the transcript loader are tested on the same list.
+NON_CANONICAL = {
+    "one-message-twice": (7 + 1, 7 + 5),  # increasing ints, both in message 1
+    "past-the-end": (3 * 7,),
+    "negative": (-1, 8),
+    "bool": (True, 8),
+    "float": (1.0, 8),
+    "decreasing": (8, 1),
+    "repeated": (8, 8),
+}
+
+
+def test_is_canonical_flat_references():
+    k, length = 3, 7
+    for eq in [(), (0,), (6, 7, 20), (3 * 7 - 1,)]:
+        assert is_canonical(eq, k, length), eq
+    for name, eq in NON_CANONICAL.items():
+        assert not is_canonical(eq, k, length), name
+    assert not is_canonical([6, 7, 20], k, length)  # a list in place of a tuple
+    assert not is_canonical(frozenset({6, 7}), k, length)
+    assert not is_canonical((0,), k, 0)
 
 
 def test_composed_plan_memory_stays_small():
-    # frozenset equations held 9.7 MiB here; tuples of shared references 5.2
+    # frozenset equations held 9.7 MiB here, tuples of shared (m, j)
+    # references 5.2, and tuples of int references m·L + j hold 3.05
     p, r = Params(4, 2), F(1, 1000)
     split = split_for_ratio(p, r)
     assert split.total_length == 16000
@@ -437,4 +464,4 @@ def test_composed_plan_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert plan.total_downloads > 0
-    assert held < 7 * 2**20
+    assert held < 4 * 2**20
