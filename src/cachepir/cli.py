@@ -272,12 +272,34 @@ def write_curve_json(p: Params, samples: int, precision: int, fh) -> None:
 # subcommands
 
 
+# Work budget of `bounds`, `curve` and `gap`, checked before any arithmetic
+# (exit 2).  Each corner value sums about k rationals of about k·log2(n)
+# bits: the corner table costs about 4k² such terms, and each evaluated
+# ratio (a curve row, a gap row, `bounds --r`) about 2k more, plus a fixed
+# cost near 256 for building and rendering its row.  One unit is one term
+# per 64-bit word of width; on a 2-vCPU machine 10⁶ units at n=2 took
+# 0.3–0.6 s, so the budget admits about 2.5 s of work.
+MAX_EXACT_WORK = 4 * 10**6
+
+
+def _check_work(p: Params, rows: int) -> None:
+    """Refuse, with ValueError, a command over MAX_EXACT_WORK at `rows` ratios."""
+    words = 1 + p.k * p.n.bit_length() // 64
+    work = (4 * p.k * p.k + rows * (2 * p.k + 256)) * words
+    if work > MAX_EXACT_WORK:
+        raise ValueError(
+            f"k={p.k} over {rows} ratios needs about {work} units of exact "
+            f"arithmetic, over the budget of {MAX_EXACT_WORK}"
+        )
+
+
 def _show(value: Fraction, precision: int) -> str:
     return f"{value}  ({decimal_str(value, precision)})"
 
 
 def cmd_bounds(args) -> int:
     p = Params(args.k, args.n)
+    _check_work(p, 1)
     precision = args.precision
     print(f"corner points for k={p.k} messages, n={p.n} databases")
     print(f"{'s':>4} {'r_s':>14} {'L(s)':>10} {'D(r_s)':>10}  cost")
@@ -301,6 +323,7 @@ def cmd_curve(args) -> int:
     p = Params(args.k, args.n)
     if args.samples < 2:
         raise ValueError(f"need at least 2 samples, got {args.samples}")
+    _check_work(p, args.samples + 2 * p.k)
     writer = write_curve_csv if args.format == "csv" else write_curve_json
     if args.out is None:
         writer(p, args.samples, args.precision, sys.stdout)
@@ -326,9 +349,8 @@ def cmd_simulate(args) -> int:
     except DecodeError as err:
         print(f"decode failed: {err}", file=sys.stderr)
         return 1
-    decoded_ok = t.decoded == t.store.bits[t.plan.theta]
+    decoded_ok = audit_mod.verify_decodability(t)
     cost_ok = audit_mod.verify_cost(t)
-    rank_ok = audit_mod.verify_decodability(t)
     symmetry = audit_mod.structural_symmetry(t.plan)
     print(
         f"k={p.k} n={p.n} theta={t.plan.theta} r={t.plan.r} seed={args.seed} "
@@ -341,14 +363,13 @@ def cmd_simulate(args) -> int:
     print(f"cost = {_show(t.cost, precision)}")
     print(f"decode exact:        {'pass' if decoded_ok else 'FAIL'}")
     print(f"cost reconciliation: {'pass' if cost_ok else 'FAIL'}")
-    print(f"decodability rank:   {'pass' if rank_ok else 'FAIL'}")
     print(f"structural symmetry: {'pass' if symmetry.passed else 'FAIL'}")
     if symmetry.detail:
         print(f"  {symmetry.detail}")
     if args.out is not None:
         write_transcript(t, args.out)
         print(f"transcript written to {args.out}")
-    return 0 if decoded_ok and cost_ok and rank_ok and symmetry.passed else 1
+    return 0 if decoded_ok and cost_ok and symmetry.passed else 1
 
 
 def _print_report(report) -> None:
@@ -383,6 +404,7 @@ def cmd_gap(args) -> int:
     if args.kmax < 2:
         raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
     p = Params(args.kmax, args.n)
+    _check_work(p, 2 * p.k if args.asymptotic else p.k)
     precision = args.precision
     print(f"gap at the inner corners for k={p.k}, n={p.n}")
     for i in range(1, p.k):

@@ -216,7 +216,10 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     # One dict per message: a flat dict keyed m·L + j would allocate an int
     # per cached bit, and took twice as long to build at r near 1/2.
     lookup = [dict(zip(idx, vals)) for idx, vals in zip(cache.indices, cache.values)]
-    recovered: dict[int, int] = dict(zip(cache.indices[theta], cache.values[theta]))
+    # One byte per desired bit: 2 until it is recovered, then the bit.
+    recovered = bytearray([2]) * length
+    for j, bit in zip(cache.indices[theta], cache.values[theta]):
+        recovered[j] = bit
     for db, eq, x, value in desired:
         rest = tuple([y for y in eq if y != x])  # see scheme.relabel
         if not rest:
@@ -233,17 +236,17 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
                     equation=eq,
                 ) from None
         j = x - low
-        if recovered.get(j, bit) != bit:
+        if recovered[j] == 2:
+            recovered[j] = bit
+        elif recovered[j] != bit:
             raise DecodeError("conflicting recoveries for desired bit", db=db, equation=eq)
-        recovered[j] = bit
 
-    wanted = range(length)
-    if recovered.keys() != set(wanted):
+    if 2 in recovered:
         raise DecodeError(
             "desired bits unrecovered",
-            missing=sorted(set(wanted) - recovered.keys()),
+            missing=[j for j, bit in enumerate(recovered) if bit == 2],
         )
-    return pack_bits([recovered[j] for j in wanted])
+    return pack_bits(recovered)
 
 
 @dataclass(frozen=True)

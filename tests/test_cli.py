@@ -152,6 +152,7 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     assert code == 0
     assert "cost = 8/7" in text
     assert "decode exact:        pass" in text
+    assert "decodability rank" not in text
     t = load_transcript(str(out))
     assert decode(t.plan, t.answers, t.cache) == t.decoded
     assert verify_cost(t)
@@ -455,6 +456,25 @@ def test_audit_montecarlo_mode(capsys):
     )
     assert code == 0
     assert "verdict:   pass" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "10000", "--n", "2"],
+        ["bounds", "--k", "100", "--n", str(10**1000)],
+        ["curve", "--k", "4", "--n", "2", "--samples", str(10**12)],
+        ["gap", "--n", "2", "--kmax", "100000"],
+        ["gap", "--n", "2", "--kmax", "230", "--asymptotic"],
+    ],
+    ids=["bounds-k", "bounds-n", "curve-samples", "gap-kmax", "gap-asymptotic"],
+)
+def test_oversized_exact_arithmetic_refused(argv, capsys):
+    # each would run for minutes; the budget refuses it before any arithmetic
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
 
 
 def test_gap_table_and_asymptotic(capsys):

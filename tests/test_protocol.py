@@ -312,6 +312,37 @@ def test_decode_unrecovered_bits_reported():
     assert len(err.value.missing) == 1
 
 
+def test_decode_conflicting_recoveries_reported():
+    # the first desired equation downloaded again, its answer bit flipped
+    t = retrieve(Params(3, 2), 0, F(1, 7), 21)
+    eq = next(eq for eq in t.plan.per_db[0] if eq[0] < t.length)
+    plan = dataclasses.replace(
+        t.plan, per_db=(t.plan.per_db[0] + (eq,),) + t.plan.per_db[1:]
+    )
+    answers = [list(a) for a in t.answers]
+    answers[0].append(answer(t.store, [eq])[0] ^ 1)
+    with pytest.raises(DecodeError) as err:
+        decode(plan, answers, t.cache)
+    assert err.value.reason == "conflicting recoveries for desired bit"
+    assert (err.value.db, err.value.equation) == (0, eq)
+
+
+def test_decode_reports_missing_bits_in_order():
+    t = retrieve(Params(3, 2), 0, F(1, 7), 21)
+    desired = [eq for eq in t.plan.per_db[1] if eq[0] < t.length]
+    kept = [i for i, eq in enumerate(t.plan.per_db[1]) if eq not in desired]
+    plan = dataclasses.replace(
+        t.plan,
+        per_db=(t.plan.per_db[0], tuple(t.plan.per_db[1][i] for i in kept)),
+    )
+    answers = [list(t.answers[0]), [t.answers[1][i] for i in kept]]
+    with pytest.raises(DecodeError) as err:
+        decode(plan, answers, t.cache)
+    assert err.value.reason == "desired bits unrecovered"
+    assert err.value.missing == tuple(sorted(eq[0] for eq in desired))
+    assert len(err.value.missing) > 1
+
+
 def test_decode_refuses_out_of_range_desired_bit():
     # (0, 5) renamed (0, 7) in a length-7 table.  As an int that is bit 0 of
     # message 1: decode takes desired terms from θ·L <= x < (θ+1)·L only, so
