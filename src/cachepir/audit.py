@@ -34,10 +34,13 @@ desired index.  The check is sufficient for any plan, and exact for plans
 that use each bit at most once per database, which is every plan `retrieve`
 ships.  A failing database is named in the report's `detail` with its first
 repeated bit, as (m, j), or its first subset with the count found and the
-count predicted.  The distributional audits keep their draws of the corner
-randomness, one permutation per message that relabels the corner layout,
-and certify every draw: exhaustively over every draw (tiny instances only)
-or over seeded samples.
+count predicted.  The distributional audits, library-only and kept for the
+benchmark and their tests, draw the corner randomness (one permutation per
+message that relabels the corner layout) and certify every draw, over all
+draws (tiny instances only) or seeded samples.  A draw renames bits within
+each message, which neither (i) nor (ii) can see, so they reach the
+verdict of the certificate on one shipped plan, which is what `cachepir
+audit` runs for every desired index.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT

@@ -2,9 +2,9 @@
 
 Subcommands: `bounds` (corner tables and point queries), `curve` (tradeoff
 data behind the plots, CSV or JSON), `simulate` (one seeded retrieval run
-with audits, optional transcript persistence), `audit` (structural / exact /
-Monte-Carlo privacy checks), and `gap` (inner-corner gap table and the
-asymptotic worst case).
+with audits, optional transcript persistence), `audit` (the privacy
+certificate on the plan `retrieve` ships at one corner, for every desired
+index), and `gap` (inner-corner gap table and the asymptotic worst case).
 
 Exit codes are a stable contract: 0 on success, 1 on verification or
 operational failure, 2 on usage errors.  Ratios are parsed strictly as
@@ -20,10 +20,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain
 
 from . import audit as audit_mod
 from .bounds import (
@@ -35,8 +33,11 @@ from .bounds import (
     inner_corner,
     worst_case_gap,
 )
-from .protocol import CacheState, DecodeError, MessageStore, Transcript, pack_bits, retrieve
-from .scheme import QueryPlan, is_canonical, split_for_ratio
+from .protocol import (
+    CacheState, DecodeError, MessageStore, Transcript, answer, pack_bits, retrieve,
+    unpack_bits,
+)
+from .scheme import QueryPlan, split_for_ratio
 
 CURVE_HEADER = (
     "r,r_exact,outer,outer_exact,inner,inner_exact,"
@@ -101,7 +102,7 @@ def _flat_from_pairs(eq, k: int, length: int):
 
     Each pair is checked before it is converted, so (m, length + 3) is
     refused rather than read as (m + 1, 3).  Anything but a list or tuple is
-    returned as it is, for `is_canonical` to refuse.
+    returned as it is, for `protocol.answer` to refuse as not canonical.
     """
     if type(eq) not in (list, tuple):
         return eq
@@ -141,13 +142,15 @@ def transcript_from_dict(data: dict) -> Transcript:
     no "format" key and list [m, j] pairs, both load; each format-1 pair
     must name a message in range(k) and a bit in range(length).  An unknown
     format, a missing key, a wrong type, answers, cached values or decoded
-    bits that are not 0/1, an equation that is not `scheme.is_canonical`
-    (listed out of order, naming one message twice, or a reference outside
-    range(k·length); none is re-sorted), answers that do not match the
-    queries, a decoded message that is not `length` bits, recorded counts,
+    bits that are not 0/1, an equation that `protocol.answer` refuses as
+    not `scheme.is_canonical` (listed out of order, naming one message
+    twice, or a reference outside range(k·length); none is re-sorted),
+    answers other than the GF(2) sums `answer` computes over the recorded
+    messages, a decoded message that is not `length` bits, recorded counts,
     cost, length or blocks that differ from the ones the queries and the
-    ratio give, or a cache that does not hold the ratio's number of bits for
-    each of the k messages all raise ValueError.
+    ratio give, a cache that does not hold the ratio's number of bits for
+    each of the k messages, or a cached value that differs from the recorded
+    message's bit at that index all raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -162,12 +165,6 @@ def transcript_from_dict(data: dict) -> Transcript:
             blocks=tuple((s, count) for s, count in data["blocks"]),
             per_db=_equations(data, params.k, length),
         )
-        for eq in chain.from_iterable(plan.per_db):
-            if not is_canonical(eq, params.k, length):
-                raise ValueError(
-                    f"transcript equation {eq} is not canonical over {params.k} "
-                    f"messages of {length} bits (see is_canonical)"
-                )
         cache = CacheState(
             length=length,
             indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
@@ -203,6 +200,13 @@ def transcript_from_dict(data: dict) -> Transcript:
                     f"transcript {key} {recorded} disagrees with its k, queries "
                     f"and ratio ({derived})"
                 )
+        for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
+            message = unpack_bits(store.bits[m], length)
+            if tuple([message[j] for j in idx]) != vals:
+                raise ValueError(f"transcript messages contradict the cache of message {m}")
+        for db, (eqs, recorded) in enumerate(zip(plan.per_db, t.answers)):
+            if tuple(answer(store, eqs)) != recorded:
+                raise ValueError(f"transcript messages contradict the answers of db {db}")
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed transcript: {err!r}") from err
     return t
@@ -283,13 +287,27 @@ MAX_EXACT_WORK = 4 * 10**6
 
 
 def _check_work(p: Params, rows: int) -> None:
-    """Refuse, with ValueError, a command over MAX_EXACT_WORK at `rows` ratios."""
-    words = 1 + p.k * p.n.bit_length() // 64
+    """Refuse, with ValueError, a command over MAX_EXACT_WORK at `rows` ratios.
+
+    Also refuse one whose values could pass Python's int-to-str limit halfway
+    through the output: they stay under 2k·(bits(n) + 1) bits (curve rows,
+    the widest, reached 0.86 of that at k = 15).
+    """
+    bits = p.n.bit_length()
+    words = 1 + p.k * bits // 64
     work = (4 * p.k * p.k + rows * (2 * p.k + 256)) * words
     if work > MAX_EXACT_WORK:
         raise ValueError(
             f"k={p.k} over {rows} ratios needs about {work} units of exact "
             f"arithmetic, over the budget of {MAX_EXACT_WORK}"
+        )
+    digits = 2 * p.k * (bits + 1) * 30103 // 100000 + 1  # log10(2) = 0.30103...
+    # 0 means no limit; Python before 3.10.7 has none and no getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(
+            f"n of {bits} bits at k={p.k} renders numbers of about {digits} "
+            f"digits, over Python's limit of {limit} (sys.get_int_max_str_digits)"
         )
 
 
@@ -372,31 +390,18 @@ def cmd_simulate(args) -> int:
     return 0 if decoded_ok and cost_ok and symmetry.passed else 1
 
 
-def _print_report(report) -> None:
-    print(f"mode:      {report.mode}")
-    print(f"distance:  {report.distance}")
-    print(f"per-db:    {list(report.per_db)}")
-    if report.trials is not None:
-        print(f"trials:    {report.trials}")
-    if report.detail:
-        print(f"detail:    {report.detail}")
-    print(f"verdict:   {'pass' if report.passed else 'FAIL'}")
-
-
 def cmd_audit(args) -> int:
     p = Params(args.k, args.n)
-    if args.mode == "structural":
-        r = corner_ratio(p, args.s)
-        for theta in range(p.k):
-            report = audit_mod.structural_symmetry(retrieve(p, theta, r, args.seed).plan)
-            if not report.passed:
-                report = replace(report, detail=f"theta {theta}: {report.detail}")
-                break
-    elif args.mode == "exact":
-        report = audit_mod.enumerate_privacy(p, args.s)
-    else:
-        report = audit_mod.montecarlo_privacy(p, args.s, args.trials, args.seed)
-    _print_report(report)
+    r = corner_ratio(p, args.s)
+    for theta in range(p.k):
+        report = audit_mod.structural_symmetry(retrieve(p, theta, r, args.seed).plan)
+        if not report.passed:
+            break
+    print(f"distance:  {report.distance}")
+    print(f"per-db:    {', '.join(map(str, report.per_db))}")
+    if report.detail:
+        print(f"detail:    theta {theta}: {report.detail}")
+    print(f"verdict:   {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 
@@ -404,14 +409,15 @@ def cmd_gap(args) -> int:
     if args.kmax < 2:
         raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
     p = Params(args.kmax, args.n)
-    _check_work(p, 2 * p.k if args.asymptotic else p.k)
+    widest = Params(max(p.k, 10), p.n) if args.asymptotic else p  # worst_case_gap's k
+    _check_work(widest, p.k + widest.k if args.asymptotic else p.k)
     precision = args.precision
     print(f"gap at the inner corners for k={p.k}, n={p.n}")
     for i in range(1, p.k):
         r = inner_corner(p, i)
         print(f"  i={i:<3} r={str(r):<28} gap={_show(gap_at(p, r), precision)}")
     if args.asymptotic:
-        r_star, delta = worst_case_gap(args.n, max(args.kmax, 10))
+        r_star, delta = worst_case_gap(p.n, widest.k)
         print("asymptotic worst case (outer asymptote vs converse):")
         print(f"  argmax r = {r_star}")
         print(f"  max gap  = {_show(delta, precision)}")
@@ -437,26 +443,25 @@ def build_parser() -> argparse.ArgumentParser:
         if k:
             sp.add_argument("--k", type=int, required=True, help="number of messages")
         sp.add_argument("--n", type=int, required=True, help="number of databases")
-        sp.add_argument(
-            "--precision",
-            type=int,
-            default=12,
-            help="significant digits for decimal rendering",
-        )
 
-    sp = sub.add_parser("bounds", help="corner table and point bounds")
+    prec = argparse.ArgumentParser(add_help=False)  # all but `audit` render decimals
+    prec.add_argument(
+        "--precision", type=int, default=12, help="significant digits for decimal rendering"
+    )
+
+    sp = sub.add_parser("bounds", parents=[prec], help="corner table and point bounds")
     add_common(sp)
     sp.add_argument("--r", type=parse_ratio, help="caching ratio p/q to evaluate")
     sp.set_defaults(handler=cmd_bounds)
 
-    sp = sub.add_parser("curve", help="emit the tradeoff curve")
+    sp = sub.add_parser("curve", parents=[prec], help="emit the tradeoff curve")
     add_common(sp)
     sp.add_argument("--samples", type=int, default=101, help="uniform grid size")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", help="output path (stdout when omitted)")
     sp.set_defaults(handler=cmd_curve)
 
-    sp = sub.add_parser("simulate", help="run one seeded retrieval")
+    sp = sub.add_parser("simulate", parents=[prec], help="run one seeded retrieval")
     add_common(sp)
     sp.add_argument("--theta", type=int, required=True, help="desired message index")
     sp.add_argument("--r", type=parse_ratio, help="caching ratio p/q")
@@ -465,17 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the transcript to this path")
     sp.set_defaults(handler=cmd_simulate)
 
-    sp = sub.add_parser("audit", help="privacy audits over fresh plans")
+    sp = sub.add_parser("audit", help="privacy certificate on every desired index's plan")
     add_common(sp)
     sp.add_argument("--s", type=int, required=True, help="corner index")
-    sp.add_argument(
-        "--mode", choices=("structural", "exact", "montecarlo"), required=True
-    )
-    sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, required=True, help="master seed")
     sp.set_defaults(handler=cmd_audit)
 
-    sp = sub.add_parser("gap", help="inner-corner gap table and worst case")
+    sp = sub.add_parser("gap", parents=[prec], help="inner-corner gap table and worst case")
     add_common(sp, k=False)
     sp.add_argument("--kmax", type=int, default=100, help="message count to evaluate")
     sp.add_argument(

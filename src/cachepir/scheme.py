@@ -364,13 +364,7 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
     an empty plan.
     """
     r = Fraction(r)
-    return _compose(p, split_for_ratio(p, r), r, theta, cache, seed)
-
-
-def _compose(
-    p: Params, split: SplitSpec, r: Fraction, theta: int, cache, seed
-) -> QueryPlan:
-    """`compose_plans` over a split already solved for r (`retrieve` solves it once)."""
+    split = split_for_ratio(p, r)
     _check_theta(p.k, theta)
     if cache.length != split.total_length:
         raise ContractViolation(

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, output values, curve and transcript files."""
 
 import json
+import shlex
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +13,8 @@ from cachepir import (
     Params,
     decode,
     drop_undesired_equation,
+    enumerate_privacy,
+    montecarlo_privacy,
     outer_bound,
     retrieve,
     verify_cost,
@@ -74,6 +78,10 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(["bounds", "--k", "1", "--n", "2"], capsys)
     assert code == 2
     assert "error" in err
+    for removed in (["--mode", "structural"], ["--trials", "1000"], ["--precision", "12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--k", "3", "--n", "2", "--s", "1", "--seed", "3", *removed])
+        assert exc.value.code == 2
 
 
 def test_simulate_both_r_and_s_rejected(capsys):
@@ -190,6 +198,12 @@ def test_simulate_checks_output_directory_first(tmp_path, capsys):
 K, L = 3, 7
 
 
+def flip_message_bit(data, m, j):
+    """Flip bit j of message m's hex, keeping its width."""
+    hexes = data["messages"]
+    hexes[m] = f"{int(hexes[m], 16) ^ (1 << j):0{len(hexes[m])}x}"
+
+
 def set_last_reference(data, x):
     """Replace the last reference of the first equation, keeping the rest."""
     data["per_db"][0][0][-1] = x
@@ -235,6 +249,9 @@ def second_bit_of_undesired(data):
         lambda d: d["per_db"][0][0].__setitem__(0, True),
         lambda d: d.update(format=3),
         lambda d: d.update(format="2"),
+        lambda d: flip_message_bit(d, 1, 3),
+        lambda d: flip_message_bit(d, 1, d["cache"]["indices"][1][0]),
+        lambda d: flip_message_bit(d, 0, d["cache"]["indices"][0][0]),
     ],
     ids=[
         "per_db_downloads",
@@ -260,6 +277,9 @@ def second_bit_of_undesired(data):
         "bool-reference",
         "unknown-format",
         "string-format",
+        "answers-vs-messages",
+        "cache-vs-message",
+        "desired-cache-vs-message",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
@@ -300,13 +320,16 @@ def alias_into_next_message(data):
 
 def test_format_1_pair_past_its_message_is_not_aliased():
     # (m, L + 3) would read as m·L + L + 3 = (m + 1)·L + 3: a canonical
-    # reference to bit 3 of the next message, which nothing else checks.
+    # reference to bit 3 of the next message.  Only the answer check could
+    # see it, and only when the two bits differ; with its answer summed
+    # again, nothing else does.
     t = retrieve(Params(3, 2), 0, F(1, 7), 1)
     data = format_1_dict(t)
     eq = alias_into_next_message(data)
     with pytest.raises(ValueError, match=r"outside 3 messages of 7 bits"):
         transcript_from_dict(data)
     eq[-1][:] = divmod(eq[-1][0] * L + eq[-1][1], L)  # the aliased pair itself
+    data["answers"][0][data["per_db"][0].index(eq)] = sum(t.store.bit(m, j) for m, j in eq) % 2
     transcript_from_dict(data)
 
 
@@ -382,36 +405,13 @@ def test_simulate_corner_4_3(capsys):
     assert "cost = 18/17" in text
 
 
-def test_audit_exact_mode(capsys):
-    code, text, _ = run(
-        ["audit", "--k", "2", "--n", "2", "--s", "1", "--mode", "exact",
-         "--seed", "1"],
-        capsys,
-    )
-    assert code == 0
-    assert "verdict:   pass" in text
-
-
-def test_audit_exact_oversized_exits_2(capsys):
-    code, _, err = run(
-        ["audit", "--k", "3", "--n", "2", "--s", "1", "--mode", "exact",
-         "--seed", "1"],
-        capsys,
-    )
-    assert code == 2
-    assert "outcomes" in err
-
-
-@pytest.mark.parametrize("mode", ["exact", "montecarlo", "structural"])
-def test_audit_oversized_refused_before_allocating(mode, capsys):
-    # L(1) = 5 592 405 at (12, 4); the outcome count and k·L(1) are refused
-    # from the arguments alone.
+def test_audit_oversized_refused_before_allocating(capsys):
+    # L(1) = 5 592 405 at (12, 4): `retrieve` refuses k·L(1) from the
+    # arguments alone.
     tracemalloc.start()
     try:
         code, _, err = run(
-            ["audit", "--k", "12", "--n", "4", "--s", "1", "--mode", mode,
-             "--trials", "1000", "--seed", "1"],
-            capsys,
+            ["audit", "--k", "12", "--n", "4", "--s", "1", "--seed", "1"], capsys
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -428,9 +428,7 @@ def test_audit_structural_certifies_every_desired_index(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "retrieve", leaky_at_theta_2)
     code, text, _ = run(
-        ["audit", "--k", "3", "--n", "2", "--s", "1", "--mode", "structural",
-         "--seed", "3"],
-        capsys,
+        ["audit", "--k", "3", "--n", "2", "--s", "1", "--seed", "3"], capsys
     )
     assert code == 1
     assert "detail:    theta 2: db 0:" in text
@@ -440,22 +438,39 @@ def test_audit_structural_certifies_every_desired_index(monkeypatch, capsys):
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_audit_structural_mode(s, capsys):
     code, text, _ = run(
-        ["audit", "--k", "3", "--n", "2", "--s", str(s), "--mode", "structural",
-         "--seed", "3"],
+        ["audit", "--k", "3", "--n", "2", "--s", str(s), "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert text == "distance:  0\nper-db:    0, 0\nverdict:   pass\n"
+
+
+# Every corner with k <= 4, and n = 3 up to k = 3, each with its own seed.
+AUDIT_GRID = [
+    (k, n, s, 100 * k + 10 * n + s)
+    for k in (2, 3, 4)
+    for n in ((2, 3) if k <= 3 else (2,))
+    for s in range(k)
+]
+
+
+@pytest.mark.parametrize("k,n,s,seed", AUDIT_GRID)
+def test_audit_verdict_matches_distributional_audits(k, n, s, seed, capsys):
+    # A database sees its corner layout renamed within each message and then
+    # shuffled; neither step changes what the certificate checks, so the
+    # walks over those steps reach the same verdict as one shipped plan.
+    code, _, _ = run(
+        ["audit", "--k", str(k), "--n", str(n), "--s", str(s), "--seed", str(seed)],
         capsys,
     )
     assert code == 0
-    assert "verdict:   pass" in text
-
-
-def test_audit_montecarlo_mode(capsys):
-    code, text, _ = run(
-        ["audit", "--k", "3", "--n", "2", "--s", "1", "--mode", "montecarlo",
-         "--trials", "1000", "--seed", "5"],
-        capsys,
-    )
-    assert code == 0
-    assert "verdict:   pass" in text
+    p = Params(k, n)
+    assert montecarlo_privacy(p, s, 1000, seed).passed
+    try:
+        exact = enumerate_privacy(p, s)
+    except ValueError as err:
+        assert "too large for exact enumeration" in str(err)
+    else:
+        assert exact.passed
 
 
 @pytest.mark.parametrize(
@@ -475,6 +490,40 @@ def test_oversized_exact_arithmetic_refused(argv, capsys):
     assert code == 2
     assert out == ""
     assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "4", "--n", str(10**3000), "--r", "1/7"],
+        ["curve", "--k", "4", "--n", str(10**1500), "--samples", "2"],
+        ["gap", "--n", str(10**1500), "--kmax", "4"],
+    ],
+    ids=["bounds", "curve", "gap"],
+)
+def test_astronomical_n_refused_before_output(argv, monkeypatch, capsys):
+    # within the work budget, but its values would pass Python's limit on
+    # int-to-str conversion halfway through the output
+    def no_arithmetic(*_):
+        raise AssertionError("arithmetic started")
+
+    for name in ("corner_points", "curve_grid", "curve_point", "inner_corner", "gap_at",
+                 "worst_case_gap"):
+        monkeypatch.setattr(cli, name, no_arithmetic)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: n of" in err and "get_int_max_str_digits" in err
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("cachepir ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_gap_table_and_asymptotic(capsys):
