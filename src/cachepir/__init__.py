@@ -34,6 +34,7 @@ from .scheme import (
     BitRef,
     ContractViolation,
     Equation,
+    PlanDraw,
     QueryPlan,
     RoundCounts,
     RoundProfile,
@@ -41,6 +42,7 @@ from .scheme import (
     build_corner_plan,
     compose_plans,
     corner_equations,
+    draw_plan,
     is_canonical,
     relabel,
     round_profile,

@@ -14,9 +14,11 @@ are reconciled exactly against the bounds module.
 
 Privacy is certified on each plan directly.  A database sees its query list
 relabeled by one uniform permutation per message, then shuffled.  That
-premise holds by construction and is not checked here: `prefetch` caches a
-uniform subset of each message, and `compose_plans` deals the cached and the
-uncached indices to the blocks in uniform order and shuffles each list.  The
+premise is the shape of the builder's interface: `prefetch` caches a
+uniform subset of each message, and `scheme.draw_plan(p, split, cache,
+seed)`, which takes no desired index, deals the cached and the uncached
+indices to the blocks in uniform order and draws each list's shuffle;
+`compose_plans(p, theta, drawn)` only assembles that draw.  The
 *support* of an equation is the tuple of messages x // L it touches.  Two
 query lists that each use every bit at most once are relabelings of each
 other exactly when their support multisets agree.  So a plan is private when, for
@@ -165,14 +167,23 @@ def _predicted_supports(p: Params, blocks) -> Counter:
     return census
 
 
-def _violations(per_db, predicted: Counter, length: int) -> dict:
-    """Why each failing database breaks (i) or (ii), keyed by database."""
+def _violations(per_db, predicted: Counter, k: int, length: int) -> dict:
+    """Why each failing database breaks (i) or (ii), keyed by database.
+
+    Check (i) marks each reference in one byte per bit of the k messages,
+    so it holds k·length bytes whatever the plan; references must lie in
+    range(k·length), as `scheme.is_canonical` requires.
+    """
     bad = {}
     for db, eqs in enumerate(per_db):
-        if len(set(chain.from_iterable(eqs))) != sum(map(len, eqs)):
-            uses = Counter(chain.from_iterable(eqs))
-            x, times = next((x, n) for x, n in uses.items() if n > 1)
-            bad[db] = f"bit {divmod(x, length)} appears {times} times"
+        seen = bytearray(k * length)
+        for x in chain.from_iterable(eqs):
+            if seen[x]:
+                times = sum(eq.count(x) for eq in eqs)
+                bad[db] = f"bit {divmod(x, length)} appears {times} times"
+                break
+            seen[x] = 1
+        if db in bad:
             continue
         found = Counter([tuple([x // length for x in eq]) for eq in eqs])
         if found.items() != predicted.items():
@@ -199,7 +210,7 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     passes.  Query order is deliberately ignored.
     """
     predicted = _predicted_supports(Params(plan.k, plan.n), plan.blocks)
-    bad = _violations(plan.per_db, predicted, plan.length)
+    bad = _violations(plan.per_db, predicted, plan.k, plan.length)
     per_db = tuple(Fraction(int(db in bad)) for db in range(plan.n))
     return PrivacyReport(
         mode="structural",
@@ -253,7 +264,7 @@ def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
             per_db = relabel(layout, perms, length)
             if mutation is not None:
                 per_db = mutation(_corner_plan(p, s, theta, per_db)).per_db
-            bad = _violations(per_db, predicted, length)
+            bad = _violations(per_db, predicted, p.k, length)
             for db in bad:
                 misses[db] += 1
             if bad and not first:
@@ -322,7 +333,7 @@ def montecarlo_privacy(
     A sample is one uniform permutation per message, drawn by
     `rng.permutation` (bit for bit `random.Random.sample`); that is the space
     `enumerate_privacy` walks: its head is a uniform cache, and head and
-    tail are in uniform consumption order, as `prefetch` and `compose_plans`
+    tail are in uniform consumption order, as `prefetch` and `draw_plan`
     draw them.  `mutation` hooks a plan transform in front of the
     certificate, which is how the negative controls are exercised.  A
     corner whose k·L(s) exceeds `protocol.MAX_SIMULATED_BITS` is refused,

@@ -149,8 +149,9 @@ def transcript_from_dict(data: dict) -> Transcript:
     messages, a decoded message that is not `length` bits, recorded counts,
     cost, length or blocks that differ from the ones the queries and the
     ratio give, a cache that does not hold the ratio's number of bits for
-    each of the k messages, or a cached value that differs from the recorded
-    message's bit at that index all raise ValueError.
+    each of the k messages, a cached value that differs from the recorded
+    message's bit at that index, or decoded bits that differ from the
+    recorded message theta all raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -207,6 +208,8 @@ def transcript_from_dict(data: dict) -> Transcript:
         for db, (eqs, recorded) in enumerate(zip(plan.per_db, t.answers)):
             if tuple(answer(store, eqs)) != recorded:
                 raise ValueError(f"transcript messages contradict the answers of db {db}")
+        if t.decoded != store.bits[plan.theta]:
+            raise ValueError(f"transcript decoded bits differ from message {plan.theta}")
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed transcript: {err!r}") from err
     return t

@@ -20,6 +20,7 @@ from .scheme import (
     Equation,
     QueryPlan,
     compose_plans,
+    draw_plan,
     is_canonical,
     split_for_ratio,
 )
@@ -308,7 +309,7 @@ def retrieve(p: Params, theta: int, r, seed) -> Transcript:
         )
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
-    plan = compose_plans(p, r, theta, cache, seed)
+    plan = compose_plans(p, theta, draw_plan(p, split, cache, seed))
     answers = tuple(tuple(answer(store, eqs)) for eqs in plan.per_db)
     decoded = decode(plan, answers, cache)
     return Transcript(plan=plan, answers=answers, decoded=decoded, store=store, cache=cache)

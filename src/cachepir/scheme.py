@@ -32,14 +32,21 @@ Every rational caching ratio is served by memory-sharing: the message is
 split into blocks, each a relabeled copy of one of the two corner layouts
 enclosing the ratio (past the last corner, blocks are single fully-cached
 bits that need no queries at all).  A corner ratio is the one-block case of
-the same split, so `compose_plans` is the only plan builder and
-`build_corner_plan` is a name for it at r = r_s.
+the same split, so one path builds every plan: `draw_plan` draws all its
+randomness without the desired index, and `compose_plans` assembles the
+plan for one desired index from that draw.  So each database's view, its
+layouts renamed within each message and then shuffled, is drawn the same
+whichever message is wanted, by the shape of the interface.
+`build_corner_plan` is a name for the path at r = r_s.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, count, islice
 from math import lcm
 
@@ -72,6 +79,8 @@ __all__ = [
     "relabel",
     "build_corner_plan",
     "split_for_ratio",
+    "PlanDraw",
+    "draw_plan",
     "compose_plans",
 ]
 
@@ -267,11 +276,12 @@ def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:
     """Build one corner plan from a prefetched cache.
 
     A corner ratio is the one-block memory-sharing split, so this is
-    `compose_plans` at r = r_s: the cache must hold exactly binom(k-2, s-1)
-    bits per message over messages of length L(s), and only its *indices*
-    are read.
+    `compose_plans` of a `draw_plan` at r = r_s: the cache must hold exactly
+    binom(k-2, s-1) bits per message over messages of length L(s), and only
+    its *indices* are read.
     """
-    return compose_plans(p, corner_ratio(p, s), theta, cache, seed)
+    split = split_for_ratio(p, corner_ratio(p, s))
+    return compose_plans(p, theta, draw_plan(p, split, cache, seed))
 
 
 def _block_geometry(p: Params, s: int | None) -> tuple[int, int]:
@@ -330,12 +340,12 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     alpha = 0 and one 1-bit filler block.
     """
     r = _as_ratio(r)
-    ratios = [corner_ratio(p, s) for s in range(p.k)]
-    s = max(i for i, ratio in enumerate(ratios) if ratio <= r)
-    low_len, _ = _block_geometry(p, s)
-    high_ratio = ratios[s + 1] if s + 1 <= p.k - 1 else Fraction(1)
-    high_len, _ = _block_geometry(p, s + 1 if s + 1 <= p.k - 1 else None)
-    alpha = (high_ratio - r) / (high_ratio - ratios[s])
+    # The corner ratios strictly increase, so O(log k) of them locate r.
+    s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
+    low_len, low_cached = _block_geometry(p, s)
+    high_len, high_cached = _block_geometry(p, s + 1 if s + 1 < p.k else None)
+    high_ratio = Fraction(high_cached, high_len)
+    alpha = (high_ratio - r) / (high_ratio - Fraction(low_cached, low_len))
     total = lcm(
         (alpha / low_len).denominator, ((1 - alpha) / high_len).denominator
     )
@@ -350,30 +360,39 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     )
 
 
-def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
-    """Concatenate relabeled corner layouts over disjoint bit ranges for ratio r.
+@dataclass(frozen=True)
+class PlanDraw:
+    """The randomness of one plan, drawn without the desired index.
 
-    Each corner of the split builds its layout once.  The cache's indices
-    and the uncached ones are dealt, in seeded random order, to the blocks:
-    a block takes its corner's cached quota, then its uncached bits, and is
-    the layout relabeled by that permutation.  Fully-cached filler blocks
-    come last and own no queries, so they are never walked.  The combined
-    per-database query list is shuffled once at the end.  Every shuffle is
-    `rng.shuffle`, the kernel that matches `random.Random.shuffle` bit for
-    bit.  A ratio hitting a corner is the one-block case, and r = 1 returns
-    an empty plan.
+    `dealt[m]` orders the indices of message m: its cached ones first, then
+    its uncached ones, each run in seeded random order; the blocks take
+    their bits from the two runs in turn.  `order[db]` holds, for each
+    position of database db's shipped query list, the position of the built
+    list whose equation it ships.
     """
-    r = Fraction(r)
-    split = split_for_ratio(p, r)
-    _check_theta(p.k, theta)
+
+    split: SplitSpec
+    seed: object
+    dealt: tuple[tuple[int, ...], ...]
+    order: tuple[array, ...]
+
+
+def draw_plan(p: Params, split: SplitSpec, cache, seed) -> PlanDraw:
+    """Deal the cache's indices to the blocks and draw each database's shuffle.
+
+    Reads only the cache's *indices*, which must be the split's quota of
+    each message.  Every shuffle is `rng.shuffle`, whose swaps depend only
+    on the length, so shuffling positions orders the queries exactly as
+    shuffling the queries would.
+    """
     if cache.length != split.total_length:
         raise ContractViolation(
-            f"ratio {r} needs message length {split.total_length}, "
+            f"split needs message length {split.total_length}, "
             f"cache has {cache.length}"
         )
     if cache.bits_per_message != split.cached_per_message:
         raise ContractViolation(
-            f"ratio {r} needs {split.cached_per_message} cached bits per message, "
+            f"split needs {split.cached_per_message} cached bits per message, "
             f"cache has {cache.bits_per_message}"
         )
 
@@ -384,9 +403,39 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
         held_set = set(held)
         rest = [i for i in range(split.total_length) if i not in held_set]
         shuffle(derive_rng(seed, "deal-fresh", m), rest)
-        dealt.append((iter(held), iter(rest)))
+        dealt.append(tuple(held + rest))
 
-    per_db: list[list[Equation]] = [[] for _ in range(p.n)]
+    rows = sum(
+        size * corner_download_total(p, corner) // p.n
+        for corner, size in split.blocks
+        if corner is not None
+    )
+    order = []
+    for db in range(p.n):
+        # machine ints: a list would hold one int object per position
+        positions = array("l", range(rows))
+        shuffle(derive_rng(seed, "shuffle", db), positions)
+        order.append(positions)
+    return PlanDraw(split=split, seed=seed, dealt=tuple(dealt), order=tuple(order))
+
+
+def compose_plans(p: Params, theta: int, drawn: PlanDraw) -> QueryPlan:
+    """Concatenate relabeled corner layouts over disjoint bit ranges; draws nothing.
+
+    Each corner of the split builds its layout once.  A block takes its
+    corner's cached quota from the head of each message's dealt order and
+    its uncached bits from the tail, and is the layout relabeled by that
+    permutation.  Fully-cached filler blocks come last and own no queries,
+    so they are never walked.  Each database's list ships in the drawn
+    order.  A ratio hitting a corner is the one-block case, and r = 1
+    returns an empty plan.
+    """
+    _check_theta(p.k, theta)
+    split = drawn.split
+    cached = split.cached_per_message
+    dealt = [(islice(bits, cached), islice(bits, cached, None)) for bits in drawn.dealt]
+
+    built: list[list[Equation]] = [[] for _ in range(p.n)]
     for corner, size in split.blocks:
         if corner is None:
             break  # fully-cached filler comes last and downloads nothing
@@ -398,17 +447,17 @@ def compose_plans(p: Params, r, theta: int, cache, seed) -> QueryPlan:
                 for held, rest in dealt
             ]
             for db, eqs in enumerate(relabel(layout, perms, split.total_length)):
-                per_db[db].extend(eqs)
+                built[db].extend(eqs)
 
-    for db in range(p.n):
-        shuffle(derive_rng(seed, "shuffle", db), per_db[db])
     return QueryPlan(
         k=p.k,
         n=p.n,
         length=split.total_length,
         theta=theta,
-        r=r,
-        seed=seed,
+        r=Fraction(cached, split.total_length),
+        seed=drawn.seed,
         blocks=split.blocks,
-        per_db=tuple(tuple(eqs) for eqs in per_db),
+        per_db=tuple(
+            tuple([eqs[i] for i in order]) for eqs, order in zip(built, drawn.order)
+        ),
     )

@@ -13,9 +13,12 @@ import pytest
 from cachepir import (
     DecodeError,
     Params,
+    PlanDraw,
     answer,
     bias_mixture_assignment,
     binom,
+    compose_plans,
+    corner_download_total,
     corner_equations,
     corner_message_length,
     corner_ratio,
@@ -28,6 +31,7 @@ from cachepir import (
     retrieve,
     skip_message_symmetry,
     sort_queries,
+    split_for_ratio,
     structural_symmetry,
     verify_cost,
     verify_decodability,
@@ -381,8 +385,9 @@ def test_failing_certificate_explains_itself():
 
 
 def test_structural_symmetry_memory_stays_small():
-    # Check (i) holds a set of one database's bit references at a time:
-    # about 3 MiB here, where the equal-count census alone took 0.5 MiB.
+    # Check (i) marks one byte per bit of the k messages, 70 KiB here; a
+    # set of one database's bit references took about 3 MiB.  The support
+    # census is most of what is left, about 1.1 MiB.
     t = retrieve(Params(4, 2), 0, F(1, 2249), 1)
     assert t.length == 17992
     tracemalloc.start()
@@ -391,7 +396,7 @@ def test_structural_symmetry_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_signature_is_theta_blind_by_shape():
@@ -417,6 +422,43 @@ def test_enumerate_privacy_tiny_instances():
 def test_enumerate_privacy_refuses_large():
     with pytest.raises(ValueError, match="outcomes"):
         enumerate_privacy(Params(3, 2), 1)
+
+
+def ordered_views(k, n, s, theta, orders):
+    """Per database, the Counter of ordered query tuples over every draw.
+
+    Every per-message permutation of the corner's indices is walked as
+    `PlanDraw.dealt` (its head is the cache, in dealt order), and each
+    order in `orders` as the shipped order of every database at once: one
+    database's view depends only on its own order, so its marginal is
+    exact.
+    """
+    p = Params(k, n)
+    split = split_for_ratio(p, corner_ratio(p, s))
+    views = [Counter() for _ in range(n)]
+    for dealt in product(permutations(range(split.total_length)), repeat=k):
+        for order in orders:
+            plan = compose_plans(p, theta, PlanDraw(split, None, dealt, (order,) * n))
+            for db, eqs in enumerate(plan.per_db):
+                views[db][eqs] += 1
+    return views
+
+
+@pytest.mark.parametrize("k,n,s", [(2, 2, 0), (2, 2, 1), (2, 3, 1), (3, 2, 2)])
+def test_ordered_views_equal_across_desired_indices(k, n, s):
+    rows = corner_download_total(Params(k, n), s) // n
+    orders = list(permutations(range(rows)))
+    first = ordered_views(k, n, s, 0, orders)
+    for theta in range(1, k):
+        assert ordered_views(k, n, s, theta, orders) == first
+
+
+def test_unshuffled_views_tell_the_desired_index():
+    # Negative control: shipped in built order, the desired sums come first,
+    # which the order-blind certificate cannot see (`sort_queries`).
+    identity = [tuple(range(corner_download_total(Params(2, 2), 0) // 2))]
+    views = [ordered_views(2, 2, 0, theta, identity) for theta in range(2)]
+    assert all(a != b for a, b in zip(*views))
 
 
 def test_enumeration_catches_leak():

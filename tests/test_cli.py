@@ -234,6 +234,7 @@ def second_bit_of_undesired(data):
         lambda d: d["cache"]["values"][0].__setitem__(0, 3),
         lambda d: d["decoded"].__setitem__(0, 2),
         lambda d: d["decoded"].pop(),
+        lambda d: d["decoded"].__setitem__(3, 1 - d["decoded"][3]),
         lambda d: set_last_reference(d, K * L),
         lambda d: d["per_db"][0][0].append(d["per_db"][0][0][0]),
         second_bit_of_undesired,
@@ -264,6 +265,7 @@ def second_bit_of_undesired(data):
         "cached-bit",
         "decoded-bit",
         "short-decoded",
+        "decoded-vs-message",
         "bit-out-of-range",
         "repeated-reference",
         "message-twice",

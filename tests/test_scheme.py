@@ -1,5 +1,6 @@
 """Query-plan structure: round profiles, censuses, reuse patterns, memory-sharing."""
 
+import inspect
 import json
 import tracemalloc
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachepir import scheme
 from cachepir import (
     ContractViolation,
     Params,
@@ -19,6 +21,7 @@ from cachepir import (
     corner_equations,
     corner_message_length,
     corner_ratio,
+    draw_plan,
     is_canonical,
     outer_bound,
     prefetch,
@@ -321,7 +324,7 @@ def run_composed(k, n, r, theta=0, seed=0):
     split = split_for_ratio(p, r)
     store = random_store(k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
-    return p, compose_plans(p, r, theta, cache, seed)
+    return p, compose_plans(p, theta, draw_plan(p, split, cache, seed))
 
 
 def test_compose_one_fifth_census():
@@ -350,7 +353,8 @@ def test_compose_at_zero_equals_corner_plan():
     p = Params(3, 2)
     store = random_store(3, corner_message_length(p, 0), 4)
     cache = prefetch(store, 0, 4)
-    assert compose_plans(p, F(0), 1, cache, 4) == build_corner_plan(p, 0, 1, cache, 4)
+    drawn = draw_plan(p, split_for_ratio(p, F(0)), cache, 4)
+    assert compose_plans(p, 1, drawn) == build_corner_plan(p, 0, 1, cache, 4)
 
 
 def test_compose_cost_identity():
@@ -369,12 +373,59 @@ def test_compose_cost_identity():
 
 def test_compose_cache_contract():
     p = Params(3, 2)
+    split = split_for_ratio(p, F(1, 5))
     store = random_store(3, 10, 0)
-    with pytest.raises(ContractViolation):
-        compose_plans(p, F(1, 5), 0, prefetch(store, 1, 0), 0)
+    with pytest.raises(ContractViolation, match="cached bits per message"):
+        draw_plan(p, split, prefetch(store, 1, 0), 0)
     wrong_len = prefetch(random_store(3, 9, 0), 2, 0)
-    with pytest.raises(ContractViolation):
-        compose_plans(p, F(1, 5), 0, wrong_len, 0)
+    with pytest.raises(ContractViolation, match="message length 10"):
+        draw_plan(p, split, wrong_len, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 64])
+def test_split_finds_corner_by_bisection(k, monkeypatch):
+    p = Params(k, 2)
+    ratios = [corner_ratio(p, s) for s in range(k)] + [F(1)]
+    calls = []
+    real = scheme.corner_ratio
+    monkeypatch.setattr(
+        scheme, "corner_ratio", lambda p, s: calls.append(s) or real(p, s)
+    )
+    budget = k.bit_length()  # a bisection over range(k)
+    for s in range(k):
+        for r in (ratios[s], (ratios[s] + ratios[s + 1]) / 2, ratios[s + 1]):
+            calls.clear()
+            expected = max(i for i in range(k) if ratios[i] <= r)
+            assert split_for_ratio(p, r).s == expected, (s, r)
+            assert len(calls) <= budget
+
+
+# ---------------------------------------------------------------------------
+# the draw reads no desired index, the assembly draws nothing
+
+
+def test_draw_plan_takes_no_desired_index():
+    assert list(inspect.signature(draw_plan).parameters) == ["p", "split", "cache", "seed"]
+    assert list(inspect.signature(compose_plans).parameters) == ["p", "theta", "drawn"]
+
+
+@pytest.mark.parametrize(
+    "k,n,r", [(3, 2, F(1, 5)), (4, 3, F(1, 4)), (4, 2, F(3, 50)), (3, 3, F(1))]
+)
+def test_one_draw_assembles_every_retrieved_plan(k, n, r, monkeypatch):
+    p, seed = Params(k, n), 9
+    split = split_for_ratio(p, r)
+    store = random_store(k, split.total_length, seed)
+    drawn = draw_plan(p, split, prefetch(store, split.cached_per_message, seed), seed)
+    shipped = [retrieve(p, theta, r, seed).plan for theta in range(k)]
+
+    def no_randomness(*_):
+        raise AssertionError("compose_plans drew randomness")
+
+    monkeypatch.setattr(scheme, "derive_rng", no_randomness)
+    monkeypatch.setattr(scheme, "shuffle", no_randomness)
+    for theta in range(k):
+        assert compose_plans(p, theta, drawn) == shipped[theta]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +510,7 @@ def test_composed_plan_memory_stays_small():
     cache = prefetch(store, split.cached_per_message, 1)
     tracemalloc.start()
     try:
-        plan = compose_plans(p, r, 0, cache, 1)
+        plan = compose_plans(p, 0, draw_plan(p, split, cache, 1))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
