@@ -3,12 +3,13 @@
 Decodability is decided by re-running the decoder and comparing its output
 with the stored message; no GF(2) rank check follows, because an exact
 decode already proves the span.  `decode` recovers desired bit x only from
-a downloaded equation (x, *rest) whose rest is empty, a downloaded sum, or
-cached bits, so the unit vector of x is that equation plus a downloaded
-equation or plus cached-bit unit vectors; cached desired bits are unit
-vectors themselves.  `decode` raises unless every desired bit is recovered,
-so whenever it returns, the span of {downloaded equations} ∪ {cached-bit
-unit vectors} contains every unit vector of the desired message.  The tests
+a downloaded equation that holds x and whose other terms are none, a
+downloaded sum, or cached bits.  So the unit vector of x is that equation
+plus a downloaded equation or plus cached-bit unit vectors, whatever order
+the terms are listed in; cached desired bits are unit vectors themselves.
+`decode` raises unless every desired bit is recovered, so whenever it
+returns, the span of {downloaded equations} ∪ {cached-bit unit vectors}
+contains every unit vector of the desired message.  The tests
 keep a dense GF(2) rank check as the reference for this argument.  Costs
 are reconciled exactly against the bounds module.
 

@@ -130,7 +130,7 @@ def _equations(data: dict, k: int, length: int):
             tuple(_flat_from_pairs(eq, k, length) for eq in eqs) for eqs in data["per_db"]
         )
     return tuple(
-        tuple(tuple(eq) if type(eq) is list else eq for eq in eqs)
+        tuple([tuple(eq) if type(eq) is list else eq for eq in eqs])  # see scheme.relabel
         for eqs in data["per_db"]
     )
 

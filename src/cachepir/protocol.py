@@ -10,6 +10,7 @@ index.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,7 +103,7 @@ class CacheState:
                 raise ValueError("cached values misaligned with cached indices")
             if set(vals) - {0, 1}:
                 raise ValueError("cached values must be bits (0 or 1)")
-            if any(not 0 <= i < self.length for i in idx):
+            if idx and (min(idx) < 0 or max(idx) >= self.length):
                 raise ValueError("cached index outside message length")
             if len(set(idx)) != len(idx):
                 raise ValueError("cached indices must be distinct")
@@ -185,6 +186,17 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
     the rest is looked up as it is).  Cached desired bits are copied from
     the cache.  Structural problems (unresolvable sums, unrecovered or
     conflicting bits) raise DecodeError rather than returning wrong content.
+
+    Each equation is classified by one `bisect_left(eq, θ·L)`: its desired
+    term is eq[i] when eq[i] < (θ+1)·L, and a second one at eq[i+1] raises
+    DecodeError.  That reads the terms in the canonical order of
+    `scheme.is_canonical`, which `answer` and the transcript loader already
+    enforce.  A non-tuple equation, or a cache over another message length
+    or count than the plan's, raises ContractViolation.  Decoding stays
+    sound on any plan, canonical or not, whose answers are the GF(2) sums of
+    its equations: each recovered bit is its answer XOR the exact parity of
+    that equation's other terms, read from a downloaded sum of exactly those
+    terms or from the cache.
     """
     if len(answers) != plan.n:
         raise ContractViolation("answers do not cover every database")
@@ -193,54 +205,66 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
         raise ContractViolation(
             f"cache holds messages of {cache.length} bits, the plan {length}"
         )
+    if len(cache.indices) != plan.k:
+        raise ContractViolation(
+            f"cache holds {len(cache.indices)} messages, the plan {plan.k}"
+        )
     theta = plan.theta
     low = theta * length
     high = low + length
+    # Every downloaded sum, keyed by its terms.  On a canonical plan a rest
+    # holds no desired term, so only side information is ever looked up.
     side: dict[Equation, int] = {}
-    desired: list[tuple[int, Equation, int, int]] = []
     for db, (eqs, bits) in enumerate(zip(plan.per_db, answers)):
         if len(eqs) != len(bits):
             raise ContractViolation(f"answer length mismatch at database {db}")
+        odd = [eq for eq in eqs if type(eq) is not tuple]
+        if odd:
+            raise ContractViolation(f"equation {odd[0]!r} is not a tuple")
+        side.update(zip(eqs, bits))
+
+    # One byte per bit of the k messages: its cached value, or 2.
+    size = plan.k * length
+    cached = bytearray([2]) * size
+    for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
+        base = m * length
+        for j, bit in zip(idx, vals):
+            cached[base + j] = bit
+    # One byte per desired bit: 2 until it is recovered, then the bit.
+    recovered = cached[low:high]
+    for db, (eqs, bits) in enumerate(zip(plan.per_db, answers)):
         for eq, value in zip(eqs, bits):
-            own = [x for x in eq if low <= x < high]
-            if not own:
-                side[eq] = value
-            elif len(own) == 1:
-                desired.append((db, eq, own[0], value))
-            else:
+            i = bisect_left(eq, low)
+            if i == len(eq) or eq[i] >= high:
+                continue
+            if i + 1 < len(eq) and eq[i + 1] < high:
                 raise DecodeError(
                     "equation carries multiple desired-message terms",
                     db=db,
                     equation=eq,
                 )
-
-    # One dict per message: a flat dict keyed m·L + j would allocate an int
-    # per cached bit, and took twice as long to build at r near 1/2.
-    lookup = [dict(zip(idx, vals)) for idx, vals in zip(cache.indices, cache.values)]
-    # One byte per desired bit: 2 until it is recovered, then the bit.
-    recovered = bytearray([2]) * length
-    for j, bit in zip(cache.indices[theta], cache.values[theta]):
-        recovered[j] = bit
-    for db, eq, x, value in desired:
-        rest = tuple([y for y in eq if y != x])  # see scheme.relabel
-        if not rest:
-            bit = value
-        elif rest in side:
-            bit = value ^ side[rest]
-        else:
-            try:
-                bit = value ^ (sum([lookup[y // length][y % length] for y in rest]) & 1)
-            except (KeyError, IndexError):
+            rest = eq[:i] + eq[i + 1:]
+            if rest:
+                parity = side.get(rest)
+                if parity is None:
+                    parity = 0
+                    for y in rest:
+                        bit = cached[y] if 0 <= y < size else 2
+                        if bit == 2:
+                            raise DecodeError(
+                                "side information neither cached nor downloaded",
+                                db=db,
+                                equation=eq,
+                            )
+                        parity ^= bit
+                value ^= parity
+            j = eq[i] - low
+            if recovered[j] == 2:
+                recovered[j] = value
+            elif recovered[j] != value:
                 raise DecodeError(
-                    "side information neither cached nor downloaded",
-                    db=db,
-                    equation=eq,
-                ) from None
-        j = x - low
-        if recovered[j] == 2:
-            recovered[j] = bit
-        elif recovered[j] != bit:
-            raise DecodeError("conflicting recoveries for desired bit", db=db, equation=eq)
+                    "conflicting recoveries for desired bit", db=db, equation=eq
+                )
 
     if 2 in recovered:
         raise DecodeError(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,9 @@ def test_cache_state_validation():
         CacheState(length=4, indices=((0,), (0, 1)), values=((1,), (0, 1)))
     with pytest.raises(ValueError):
         CacheState(length=4, indices=((5,),), values=((1,),))
+    for outside in (4, -1):
+        with pytest.raises(ValueError, match="outside message length"):
+            CacheState(length=4, indices=((0, outside),), values=((1, 1),))
     with pytest.raises(ValueError):
         CacheState(length=4, indices=((1, 1),), values=((0, 0),))
     with pytest.raises(ValueError, match="misaligned"):
@@ -260,6 +264,15 @@ def test_decode_refuses_cache_of_other_length():
         decode(plan, answers, longer)
 
 
+def test_decode_refuses_cache_of_other_message_count():
+    store, _, plan = single_mix_table()
+    answers = [answer(store, list(eqs)) for eqs in plan.per_db]
+    for count in (2, 4):
+        other = prefetch(random_store(count, 7, 99), 1, 99)
+        with pytest.raises(ContractViolation, match=f"cache holds {count} messages"):
+            decode(plan, answers, other)
+
+
 def test_decode_full_cache_copies():
     store = random_store(2, 4, 8)
     cache = prefetch(store, 4, 8)
@@ -361,6 +374,58 @@ def test_decode_refuses_out_of_range_desired_bit():
         decode(plan, answers, cache)
     assert err.value.reason == "desired bits unrecovered"
     assert err.value.missing == (5,)
+
+
+NO_CACHE = CacheState(length=7, indices=((), (), ()), values=((), (), ()))
+
+
+def test_decode_refuses_two_desired_terms():
+    # (1, 5) is increasing but names bits 1 and 5 of message 0 at L = 7.
+    plan = manual_two_db_plan(7, [[{(0, 1), (0, 5)}], []], theta=0, r=F(0), s=0)
+    with pytest.raises(DecodeError) as err:
+        decode(plan, [[0], []], NO_CACHE)
+    assert err.value.reason == "equation carries multiple desired-message terms"
+    assert (err.value.db, err.value.equation) == (0, (1, 5))
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [frozenset({1, 7}), frozenset({8, 14}), [1, 7], [8, 14]],
+    ids=["frozenset-desired", "frozenset-side", "list-desired", "list-side"],
+)
+def test_decode_refuses_non_tuple_equation(odd):
+    plan = manual_two_db_plan(7, [[{(0, 0)}], []], theta=0, r=F(0), s=0)
+    plan = dataclasses.replace(plan, per_db=(plan.per_db[0] + (odd,), ()))
+    with pytest.raises(ContractViolation, match="not a tuple"):
+        decode(plan, [[0, 0], []], NO_CACHE)
+
+
+@pytest.mark.parametrize(
+    "mixture", [{(3, 0)}, {(1, 0), (3, 0)}, {(1, 0), (2, 6), (4, 2)}, {(-1, 6)}]
+)
+def test_decode_refuses_mixture_outside_the_messages(mixture):
+    # Every bit is cached, so only a reference at or above k·L = 21, or
+    # below 0, leaves the mixture unresolved.
+    cache = prefetch(random_store(3, 7, 5), 7, 5)
+    plan = manual_two_db_plan(7, [[{(0, 1), *mixture}], []], theta=0, r=F(0), s=0)
+    with pytest.raises(DecodeError) as err:
+        decode(plan, [[0], []], cache)
+    assert err.value.reason == "side information neither cached nor downloaded"
+    assert (err.value.db, err.value.equation) == (0, plan.per_db[0][0])
+
+
+def test_decode_memory_stays_small_near_one_half():
+    # One byte per bit of the k messages, 70 KiB here; one dict of cached
+    # values per message peaked at about 1.8 MiB.
+    t = retrieve(Params(4, 2), 1, F(4507, 9010), 1)
+    answers = [list(a) for a in t.answers]
+    tracemalloc.start()
+    try:
+        assert decode(t.plan, answers, t.cache) == t.store.bits[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20
 
 
 def test_plan_equations_leave_cyclic_gc():
