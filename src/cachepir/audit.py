@@ -116,15 +116,16 @@ def plan_signature(equations) -> tuple:
 
 @dataclass(frozen=True)
 class PrivacyReport:
-    """Outcome of one privacy audit; `distance` is the worst per-database value."""
+    """Outcome of one privacy audit, one distance per database."""
 
-    mode: str
     passed: bool
-    distance: object
     per_db: tuple
-    trials: int | None = None
-    seed: object = None
     detail: str = ""
+
+    @property
+    def distance(self):
+        """The worst per-database value."""
+        return max(self.per_db)
 
 
 def verify_decodability(t: Transcript) -> bool:
@@ -213,13 +214,7 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     predicted = _predicted_supports(Params(plan.k, plan.n), plan.blocks)
     bad = _violations(plan.per_db, predicted, plan.k, plan.length)
     per_db = tuple(Fraction(int(db in bad)) for db in range(plan.n))
-    return PrivacyReport(
-        mode="structural",
-        passed=not bad,
-        distance=max(per_db),
-        per_db=per_db,
-        detail=_explain(bad),
-    )
+    return PrivacyReport(passed=not bad, per_db=per_db, detail=_explain(bad))
 
 
 @cache
@@ -304,15 +299,7 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
     per_db, detail = _draw_distance(
         p, s, range(p.k), lambda _: product(permutations(range(length)), repeat=p.k)
     )
-    distance = max(per_db)
-    return PrivacyReport(
-        mode="exact",
-        passed=distance == 0,
-        distance=distance,
-        per_db=per_db,
-        trials=outcomes,
-        detail=detail,
-    )
+    return PrivacyReport(passed=max(per_db) == 0, per_db=per_db, detail=detail)
 
 
 def montecarlo_privacy(
@@ -355,16 +342,7 @@ def montecarlo_privacy(
             yield [permutation(rng, length) for _ in range(p.k)]
 
     per_db, detail = _draw_distance(p, s, range(p.k), draws, mutation)
-    distance = max(per_db)
-    return PrivacyReport(
-        mode="montecarlo",
-        passed=distance == 0,
-        distance=distance,
-        per_db=per_db,
-        trials=trials,
-        seed=seed,
-        detail=detail,
-    )
+    return PrivacyReport(passed=max(per_db) == 0, per_db=per_db, detail=detail)
 
 
 def _is_desired(plan: QueryPlan):

@@ -34,8 +34,8 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import (
-    CacheState, DecodeError, MessageStore, Transcript, answer, pack_bits, retrieve,
-    unpack_bits,
+    MAX_SIMULATED_BITS, CacheState, DecodeError, MessageStore, Transcript, answer,
+    pack_bits, retrieve, unpack_bits,
 )
 from .scheme import QueryPlan, split_for_ratio
 
@@ -71,7 +71,6 @@ def decimal_str(value: Fraction, precision: int = 12) -> str:
 # transcript files
 
 # Format 2 lists each equation as its sorted int references m·length + j.
-# Format 1, a file with no "format" key, listed [m, j] pairs.
 TRANSCRIPT_FORMAT = 2
 
 
@@ -88,46 +87,22 @@ def transcript_to_dict(t: Transcript) -> dict:
         "blocks": t.plan.blocks,
         "per_db": t.plan.per_db,
         "answers": t.answers,
-        "decoded": t.decoded_bits(),
+        "decoded": list(t.decoded),
         "cache": {"indices": t.cache.indices, "values": t.cache.values},
-        "messages": [f"{w:0{(t.length + 3) // 4}x}" for w in t.store.bits],
+        "messages": [f"{pack_bits(w):0{(t.length + 3) // 4}x}" for w in t.store.bits],
         "per_db_downloads": t.plan.downloads_per_db,
         "total_downloads": t.plan.total_downloads,
         "cost": fraction_token(t.cost),
     }
 
 
-def _flat_from_pairs(eq, k: int, length: int):
-    """A format-1 equation's [m, j] pairs as int references m·length + j.
-
-    Each pair is checked before it is converted, so (m, length + 3) is
-    refused rather than read as (m + 1, 3).  Anything but a list or tuple is
-    returned as it is, for `protocol.answer` to refuse as not canonical.
-    """
-    if type(eq) not in (list, tuple):
-        return eq
-    flat = []
-    for ref in eq:
-        if type(ref) not in (list, tuple) or len(ref) != 2:
-            raise ValueError(f"transcript bit reference {ref!r} is not an [m, j] pair")
-        m, j = ref
-        if not (type(m) is int is type(j) and 0 <= m < k and 0 <= j < length):
-            raise ValueError(
-                f"transcript bit reference {ref!r} is outside {k} messages "
-                f"of {length} bits"
-            )
-        flat.append(m * length + j)
-    return tuple(flat)
-
-
-def _equations(data: dict, k: int, length: int):
+def _equations(data: dict):
     """The file's per-database equations as tuples of int references."""
-    version = data.get("format", 1)
-    if type(version) is not int or version not in (1, 2):
-        raise ValueError(f"unknown transcript format {version!r}")
-    if version == 1:
-        return tuple(
-            tuple(_flat_from_pairs(eq, k, length) for eq in eqs) for eqs in data["per_db"]
+    version = data.get("format")
+    if type(version) is not int or version != TRANSCRIPT_FORMAT:
+        raise ValueError(
+            f"unknown transcript format {version!r}: "
+            f"only format {TRANSCRIPT_FORMAT} is read"
         )
     return tuple(
         tuple([tuple(eq) if type(eq) is list else eq for eq in eqs])  # see scheme.relabel
@@ -138,11 +113,13 @@ def _equations(data: dict, k: int, length: int):
 def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript and check the file's recorded values against it.
 
-    Format 2 files (see `TRANSCRIPT_FORMAT`) and format 1 files, which carry
-    no "format" key and list [m, j] pairs, both load; each format-1 pair
-    must name a message in range(k) and a bit in range(length).  An unknown
-    format, a missing key, a wrong type, answers, cached values or decoded
-    bits that are not 0/1, an equation that `protocol.answer` refuses as
+    Only format 2 files load (see `TRANSCRIPT_FORMAT`); each hex message is
+    unpacked once into its `length` 0/1 bytes, and the decoded bits become
+    bytes.  A file whose "format" is missing or is anything but the int 2,
+    k messages of `length` bits over `protocol.MAX_SIMULATED_BITS` (refused
+    before any message is unpacked), a hex message wider than `length` bits
+    or negative, a missing key, a wrong type, answers, cached values or
+    decoded bits that are not 0/1, an equation that `protocol.answer` refuses as
     not `scheme.is_canonical` (listed out of order, naming one message
     twice, or a reference outside range(k·length); none is re-sorted),
     answers other than the GF(2) sums `answer` computes over the recorded
@@ -156,6 +133,11 @@ def transcript_from_dict(data: dict) -> Transcript:
     try:
         params = Params(data["k"], data["n"])
         length = data["length"]
+        if params.k * length > MAX_SIMULATED_BITS:
+            raise ValueError(
+                f"transcript holds {params.k} messages of {length} bits, "
+                f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
+            )
         plan = QueryPlan(
             k=params.k,
             n=params.n,
@@ -164,7 +146,7 @@ def transcript_from_dict(data: dict) -> Transcript:
             r=Fraction(data["r"]),
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
-            per_db=_equations(data, params.k, length),
+            per_db=_equations(data),
         )
         cache = CacheState(
             length=length,
@@ -174,7 +156,7 @@ def transcript_from_dict(data: dict) -> Transcript:
         store = MessageStore(
             count=params.k,
             length=length,
-            bits=tuple(int(w, 16) for w in data["messages"]),
+            bits=tuple(unpack_bits(int(w, 16), length) for w in data["messages"]),
         )
         decoded = data["decoded"]
         if len(decoded) != length or set(decoded) - {0, 1}:
@@ -182,7 +164,7 @@ def transcript_from_dict(data: dict) -> Transcript:
         t = Transcript(
             plan=plan,
             answers=tuple(tuple(a) for a in data["answers"]),
-            decoded=pack_bits(decoded),
+            decoded=bytes(decoded),
             store=store,
             cache=cache,
         )
@@ -202,7 +184,7 @@ def transcript_from_dict(data: dict) -> Transcript:
                     f"and ratio ({derived})"
                 )
         for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
-            message = unpack_bits(store.bits[m], length)
+            message = store.bits[m]
             if tuple([message[j] for j in idx]) != vals:
                 raise ValueError(f"transcript messages contradict the cache of message {m}")
         for db, (eqs, recorded) in enumerate(zip(plan.per_db, t.answers)):

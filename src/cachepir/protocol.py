@@ -3,9 +3,12 @@
 A run generates random message content, prefetches a uniform random cache,
 builds the query plan for the requested caching ratio, computes each
 database's GF(2) answers, and decodes the desired message, producing an
-immutable transcript.  Database unawareness is structural: `answer` receives
-only the message store and the equations, never the cache or the desired
-index.
+immutable transcript.  Every layer holds a message as its L bytes of 0/1,
+bit j at index j, so reference x = m·L + j is byte x of the k messages
+joined end to end; the packed int form (`pack_bits`, `unpack_bits`) exists
+only where content is drawn and where a transcript file stores it as hex.
+Database unawareness is structural: `answer` receives only the message store
+and the equations, never the cache or the desired index.
 """
 
 from __future__ import annotations
@@ -43,20 +46,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MessageStore:
-    """k messages of identical length, each packed little-endian into one int."""
+    """k messages of identical length, each its `length` 0/1 bytes, bit j at index j."""
 
     count: int
     length: int
-    bits: tuple[int, ...]
+    bits: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.count:
             raise ValueError("message count does not match stored messages")
-        if any(not 0 <= w < (1 << self.length) for w in self.bits):
-            raise ValueError("message content wider than declared length")
-
-    def bit(self, m: int, j: int) -> int:
-        return (self.bits[m] >> j) & 1
+        for w in self.bits:
+            if (
+                type(w) is not bytes
+                or len(w) != self.length
+                or w.translate(None, b"\x00\x01")  # a byte left that is not 0 or 1
+            ):
+                raise ValueError(f"each message must be {self.length} bytes, each 0 or 1")
 
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -80,7 +85,10 @@ def random_store(k: int, length: int, seed) -> MessageStore:
     return MessageStore(
         count=k,
         length=length,
-        bits=tuple(derive_rng(seed, "content", m).getrandbits(length) for m in range(k)),
+        bits=tuple(
+            unpack_bits(derive_rng(seed, "content", m).getrandbits(length), length)
+            for m in range(k)
+        ),
     )
 
 
@@ -128,7 +136,7 @@ def prefetch(store: MessageStore, bits_per_message: int, seed) -> CacheState:
     for m in range(store.count):
         rng = derive_rng(seed, "cache", m)
         chosen = tuple(sorted(rng.sample(range(store.length), bits_per_message)))
-        message = unpack_bits(store.bits[m], store.length)
+        message = store.bits[m]
         indices.append(chosen)
         values.append(tuple(message[j] for j in chosen))
     return CacheState(length=store.length, indices=tuple(indices), values=tuple(values))
@@ -145,7 +153,7 @@ def answer(store: MessageStore, equations: list[Equation]) -> list[int]:
     message, a reference out of range) raises ContractViolation.
     """
     k, length = store.count, store.length
-    bits = b"".join([unpack_bits(w, length) for w in store.bits])
+    bits = b"".join(store.bits)
     out = []
     for eq in equations:
         if not is_canonical(eq, k, length):
@@ -175,8 +183,8 @@ class DecodeError(Exception):
         super().__init__("; ".join(parts))
 
 
-def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
-    """Recover the desired message from the answers, packed little-endian.
+def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> bytes:
+    """Recover the desired message from the answers as its L 0/1 bytes.
 
     Every downloaded sum without a desired-message term (a reference in
     θ·L <= x < (θ+1)·L) is side information whose value is its own answer
@@ -271,7 +279,7 @@ def decode(plan: QueryPlan, answers: list[list[int]], cache: CacheState) -> int:
             "desired bits unrecovered",
             missing=[j for j, bit in enumerate(recovered) if bit == 2],
         )
-    return pack_bits(recovered)
+    return bytes(recovered)
 
 
 @dataclass(frozen=True)
@@ -280,12 +288,14 @@ class Transcript:
 
     Only the run's inputs and outputs are stored; the parameters, message
     length and normalized cost are read off the plan, so they cannot
-    disagree with it.
+    disagree with it.  `decoded` is the desired message in the form of
+    `store.bits`, its L 0/1 bytes, so a correct run has
+    `decoded == store.bits[theta]`.
     """
 
     plan: QueryPlan
     answers: tuple[tuple[int, ...], ...]
-    decoded: int
+    decoded: bytes
     store: MessageStore
     cache: CacheState
 
@@ -306,9 +316,6 @@ class Transcript:
     @property
     def cost(self) -> Fraction:
         return Fraction(self.plan.total_downloads, self.length)
-
-    def decoded_bits(self) -> list[int]:
-        return list(unpack_bits(self.decoded, self.length))
 
 
 MAX_SIMULATED_BITS = 2**22

@@ -250,9 +250,14 @@ def second_bit_of_undesired(data):
         lambda d: d["per_db"][0][0].__setitem__(0, True),
         lambda d: d.update(format=3),
         lambda d: d.update(format="2"),
+        lambda d: d.pop("format"),
+        lambda d: d.update(format=True),
+        lambda d: d.update(format=2.0),
         lambda d: flip_message_bit(d, 1, 3),
         lambda d: flip_message_bit(d, 1, d["cache"]["indices"][1][0]),
         lambda d: flip_message_bit(d, 0, d["cache"]["indices"][0][0]),
+        lambda d: flip_message_bit(d, 1, L),
+        lambda d: d["messages"].__setitem__(1, "-1"),
     ],
     ids=[
         "per_db_downloads",
@@ -279,82 +284,19 @@ def second_bit_of_undesired(data):
         "bool-reference",
         "unknown-format",
         "string-format",
+        "format-1",
+        "bool-format",
+        "float-format",
         "answers-vs-messages",
         "cache-vs-message",
         "desired-cache-vs-message",
+        "message-too-wide",
+        "negative-message",
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
     data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
     assert data["per_db_downloads"] == [4, 4] and data["cost"] == "8/7"
-    edit(data)
-    with pytest.raises(ValueError):
-        transcript_from_dict(data)
-
-
-def format_1_dict(t):
-    """The transcript as a format-1 file held it: [m, j] pairs, no "format" key."""
-    data = file_dict(t)
-    del data["format"]
-    data["per_db"] = [
-        [[list(divmod(x, t.length)) for x in eq] for eq in eqs] for eqs in data["per_db"]
-    ]
-    return data
-
-
-@pytest.mark.parametrize(
-    "k,n,r,theta,seed",
-    [(4, 3, F(2, 17), 1, 42), (4, 2, F(4501, 9000), 3, 7), (3, 2, F(1, 5), 2, 9)],
-)
-def test_format_1_and_2_files_load_to_equal_transcripts(k, n, r, theta, seed):
-    t = retrieve(Params(k, n), theta, r, seed)
-    old, new = format_1_dict(t), file_dict(t)
-    assert "format" not in old and new["format"] == 2
-    assert transcript_from_dict(old) == transcript_from_dict(new) == t
-
-
-def alias_into_next_message(data):
-    """Rename (m, j), the last pair of an equation with m < k-1, to (m, L + 3)."""
-    eq = next(eq for eq in data["per_db"][0] if eq[-1][0] < K - 1)
-    eq[-1][1] = L + 3
-    return eq
-
-
-def test_format_1_pair_past_its_message_is_not_aliased():
-    # (m, L + 3) would read as m·L + L + 3 = (m + 1)·L + 3: a canonical
-    # reference to bit 3 of the next message.  Only the answer check could
-    # see it, and only when the two bits differ; with its answer summed
-    # again, nothing else does.
-    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
-    data = format_1_dict(t)
-    eq = alias_into_next_message(data)
-    with pytest.raises(ValueError, match=r"outside 3 messages of 7 bits"):
-        transcript_from_dict(data)
-    eq[-1][:] = divmod(eq[-1][0] * L + eq[-1][1], L)  # the aliased pair itself
-    data["answers"][0][data["per_db"][0].index(eq)] = sum(t.store.bit(m, j) for m, j in eq) % 2
-    transcript_from_dict(data)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d["per_db"][0][0][-1].__setitem__(1, -1),
-        lambda d: d["per_db"][0][0][-1].__setitem__(0, K),
-        lambda d: d["per_db"][0][0][-1].__setitem__(1, 4.0),
-        lambda d: d["per_db"][0][0][0].__setitem__(0, False),
-        lambda d: d["per_db"][0][0][-1].append(0),
-        lambda d: d["per_db"][0][0].__setitem__(0, 4),
-        lambda d: d["per_db"][0][0].reverse(),
-        lambda d: d["per_db"][0][0].append(list(d["per_db"][0][0][-1])),
-        lambda d: d["per_db"][0].__setitem__(0, frozenset(map(tuple, d["per_db"][0][0]))),
-        lambda d: d.update(format=1.0),
-    ],
-    ids=["negative-bit", "message-k", "float-bit", "bool-message", "triple",
-         "bare-int", "out-of-order", "repeated-reference", "frozenset", "float-format"],
-)
-def test_format_1_loader_refuses_bad_pairs(edit):
-    data = format_1_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
-    transcript_from_dict(data)
     edit(data)
     with pytest.raises(ValueError):
         transcript_from_dict(data)
@@ -372,6 +314,28 @@ def test_simulate_out_writes_format_2(tmp_path, capsys):
     assert data["format"] == 2
     assert all(type(x) is int for eqs in data["per_db"] for eq in eqs for x in eq)
     assert load_transcript(str(out)) == retrieve(Params(4, 2), 1, F(1, 50), 5)
+
+
+def test_transcript_loader_says_it_reads_format_2_only():
+    # A format-1 file carried no "format" key.
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    del data["format"]
+    with pytest.raises(ValueError, match="only format 2 is read"):
+        transcript_from_dict(data)
+
+
+def test_transcript_loader_refuses_oversized_length_before_unpacking():
+    # Unpacking three messages of 2**24 bits would take 48 MiB of 0/1 bytes.
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    data["length"] = 2**24
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="simulation budget"):
+            transcript_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

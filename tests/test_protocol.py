@@ -27,13 +27,22 @@ from cachepir import (
     split_for_ratio,
 )
 from cachepir.protocol import MAX_SIMULATED_BITS, pack_bits, unpack_bits
+from cachepir.rng import derive_rng
 
 
 def test_store_validation():
-    with pytest.raises(ValueError):
-        MessageStore(count=2, length=3, bits=(1,))
-    with pytest.raises(ValueError):
-        MessageStore(count=1, length=2, bits=(9,))
+    MessageStore(count=1, length=3, bits=(b"\x01\x00\x01",))
+    with pytest.raises(ValueError, match="message count"):
+        MessageStore(count=2, length=3, bits=(b"\x01\x00\x01",))
+    for odd in (
+        b"\x01\x00",  # one byte short
+        b"\x01\x00\x01\x00",  # one byte long
+        b"\x01\x02\x01",  # a byte that is not a bit
+        0b101,  # the packed int in place of the bytes
+        bytearray(b"\x01\x00\x01"),
+    ):
+        with pytest.raises(ValueError, match="3 bytes, each 0 or 1"):
+            MessageStore(count=1, length=3, bits=(odd,))
 
 
 def test_prefetch_edges():
@@ -43,7 +52,7 @@ def test_prefetch_edges():
     full = prefetch(store, 7, 0)
     assert all(idx == tuple(range(7)) for idx in full.indices)
     assert all(
-        vals == tuple((store.bits[m] >> j) & 1 for j in range(7))
+        vals == tuple(store.bits[m])
         for m, vals in enumerate(full.values)
     )
     with pytest.raises(ValueError):
@@ -58,7 +67,7 @@ def test_prefetch_counts_and_determinism():
     assert cache != prefetch(store, 1, 6)
     for m in range(3):
         (idx,) = cache.indices[m]
-        assert cache.values[m][0] == store.bit(m, idx)
+        assert cache.values[m][0] == store.bits[m][idx]
 
 
 def test_cache_state_validation():
@@ -81,7 +90,7 @@ def flat(refs, length):
 
 
 def test_answer_golden():
-    store = MessageStore(count=2, length=2, bits=(0b01, 0b01))
+    store = MessageStore(count=2, length=2, bits=(b"\x01\x00", b"\x01\x00"))
     assert answer(store, [(0,)]) == [1]  # a0
     assert answer(store, [(0, 2)]) == [0]  # a0 + b0
     assert answer(store, [(1, 2)]) == [1]  # a1 + b0
@@ -145,7 +154,11 @@ def test_pack_unpack_roundtrip(case):
 @settings(max_examples=60, deadline=None)
 def test_data_path_matches_per_bit_reference(k, length, seed, data):
     store = random_store(k, length, seed)
-    messages = [reference_bits(w, length) for w in store.bits]
+    # bit j of message m straight from its content stream, not from the store
+    messages = [
+        reference_bits(derive_rng(seed, "content", m).getrandbits(length), length)
+        for m in range(k)
+    ]
     # a sorted subset of the messages, one bit of each
     equation = st.sets(st.integers(0, k - 1), min_size=1).flatmap(
         lambda ms: st.tuples(
@@ -179,7 +192,7 @@ def test_data_path_matches_per_bit_reference(k, length, seed, data):
         plan=plan, answers=tuple(map(tuple, answers)), decoded=decoded,
         store=store, cache=cache,
     )
-    assert t.decoded_bits() == messages[theta]
+    assert list(t.decoded) == messages[theta]
 
 
 def manual_two_db_plan(length, per_db, theta, r, s):
@@ -202,7 +215,7 @@ def single_mix_table():
     cache = CacheState(
         length=7,
         indices=((0,), (0,), (0,)),
-        values=tuple((store.bit(m, 0),) for m in range(3)),
+        values=tuple((store.bits[m][0],) for m in range(3)),
     )
     db1 = [
         {(0, 1), (1, 0)},
@@ -245,7 +258,7 @@ def test_decode_hand_built_double_mix_table():
     cache = CacheState(
         length=3,
         indices=((0,), (0,), (0,)),
-        values=tuple((store.bit(m, 0),) for m in range(3)),
+        values=tuple((store.bits[m][0],) for m in range(3)),
     )
     db1 = [{(0, 1), (1, 0), (2, 0)}]
     db2 = [{(0, 2), (1, 0), (2, 0)}]
@@ -364,7 +377,7 @@ def test_decode_refuses_out_of_range_desired_bit():
     cache = CacheState(
         length=7,
         indices=((0,), (0,), (0,)),
-        values=tuple((store.bit(m, 0),) for m in range(3)),
+        values=tuple((store.bits[m][0],) for m in range(3)),
     )
     db1 = [{(0, 1), (1, 0)}, {(0, 2), (2, 0)}, {(1, 1), (2, 1)}, {(0, 7), (1, 2), (2, 2)}]
     db2 = [{(0, 3), (1, 0)}, {(0, 4), (2, 0)}, {(1, 2), (2, 2)}, {(0, 6), (1, 1), (2, 1)}]
