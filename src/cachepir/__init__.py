@@ -43,6 +43,7 @@ from .scheme import (
     compose_plans,
     corner_equations,
     draw_plan,
+    first_non_canonical,
     is_canonical,
     relabel,
     round_profile,

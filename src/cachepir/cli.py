@@ -34,8 +34,8 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import (
-    MAX_SIMULATED_BITS, CacheState, DecodeError, MessageStore, Transcript, answer,
-    pack_bits, retrieve, unpack_bits,
+    MAX_SIMULATED_BITS, CacheState, DecodeError, MessageStore, Transcript, _are_bits,
+    answer, pack_bits, retrieve, unpack_bits,
 )
 from .scheme import QueryPlan, split_for_ratio
 
@@ -119,16 +119,18 @@ def transcript_from_dict(data: dict) -> Transcript:
     k messages of `length` bits over `protocol.MAX_SIMULATED_BITS` (refused
     before any message is unpacked), a hex message wider than `length` bits
     or negative, a missing key, a wrong type, answers, cached values or
-    decoded bits that are not 0/1, an equation that `protocol.answer` refuses as
-    not `scheme.is_canonical` (listed out of order, naming one message
-    twice, or a reference outside range(k·length); none is re-sorted),
-    answers other than the GF(2) sums `answer` computes over the recorded
-    messages, a decoded message that is not `length` bits, recorded counts,
-    cost, length or blocks that differ from the ones the queries and the
-    ratio give, a cache that does not hold the ratio's number of bits for
-    each of the k messages, a cached value that differs from the recorded
-    message's bit at that index, or decoded bits that differ from the
-    recorded message theta all raise ValueError.
+    decoded bits that are not the ints 0 and 1 (JSON true and false are
+    not: they would load equal but not write back the same), an equation
+    that `protocol.answer` refuses as not `scheme.is_canonical` (listed out
+    of order, naming one message twice, or a reference outside
+    range(k·length); none is re-sorted), answers other than the GF(2)
+    sums `answer` computes over the recorded messages, a decoded message
+    that is not `length` bits, recorded counts, cost, length or blocks that
+    differ from the ones the queries and the ratio give, a cache that does
+    not hold the ratio's number of bits for each of the k messages, a
+    cached value that differs from the recorded message's bit at that
+    index, or decoded bits that differ from the recorded message theta all
+    raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -159,7 +161,7 @@ def transcript_from_dict(data: dict) -> Transcript:
             bits=tuple(unpack_bits(int(w, 16), length) for w in data["messages"]),
         )
         decoded = data["decoded"]
-        if len(decoded) != length or set(decoded) - {0, 1}:
+        if not _are_bits(decoded):  # bytes() would take true and false as 1 and 0
             raise ValueError(f"transcript decoded must hold {length} bits, each 0 or 1")
         t = Transcript(
             plan=plan,

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import Params, _check_theta
-from .rng import derive_rng
+from .rng import derive_rng, sample
 from .scheme import (
     ContractViolation,
     Equation,
     QueryPlan,
     compose_plans,
     draw_plan,
-    is_canonical,
+    first_non_canonical,
     split_for_ratio,
 )
 
@@ -44,6 +44,20 @@ __all__ = [
 ]
 
 
+def _are_bit_bytes(w, length: int) -> bool:
+    """True when `w` is `length` bytes, each 0 or 1."""
+    return (
+        type(w) is bytes
+        and len(w) == length
+        and not w.translate(None, b"\x00\x01")  # no byte left that is not 0 or 1
+    )
+
+
+def _are_bits(values) -> bool:
+    """True when every value is the int 0 or 1; a bool is not an int here."""
+    return set(values) <= {0, 1} and set(map(type, values)) <= {int}
+
+
 @dataclass(frozen=True)
 class MessageStore:
     """k messages of identical length, each its `length` 0/1 bytes, bit j at index j."""
@@ -55,13 +69,8 @@ class MessageStore:
     def __post_init__(self) -> None:
         if len(self.bits) != self.count:
             raise ValueError("message count does not match stored messages")
-        for w in self.bits:
-            if (
-                type(w) is not bytes
-                or len(w) != self.length
-                or w.translate(None, b"\x00\x01")  # a byte left that is not 0 or 1
-            ):
-                raise ValueError(f"each message must be {self.length} bytes, each 0 or 1")
+        if not all(_are_bit_bytes(w, self.length) for w in self.bits):
+            raise ValueError(f"each message must be {self.length} bytes, each 0 or 1")
 
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -109,7 +118,7 @@ class CacheState:
         for idx, vals in zip(self.indices, self.values):
             if len(idx) != len(vals):
                 raise ValueError("cached values misaligned with cached indices")
-            if set(vals) - {0, 1}:
+            if not _are_bits(vals):
                 raise ValueError("cached values must be bits (0 or 1)")
             if idx and (min(idx) < 0 or max(idx) >= self.length):
                 raise ValueError("cached index outside message length")
@@ -135,10 +144,9 @@ def prefetch(store: MessageStore, bits_per_message: int, seed) -> CacheState:
     values = []
     for m in range(store.count):
         rng = derive_rng(seed, "cache", m)
-        chosen = tuple(sorted(rng.sample(range(store.length), bits_per_message)))
-        message = store.bits[m]
+        chosen = tuple(sorted(sample(rng, store.length, bits_per_message)))
         indices.append(chosen)
-        values.append(tuple(message[j] for j in chosen))
+        values.append(tuple(map(store.bits[m].__getitem__, chosen)))
     return CacheState(length=store.length, indices=tuple(indices), values=tuple(values))
 
 
@@ -148,16 +156,19 @@ def answer(store: MessageStore, equations: list[Equation]) -> list[int]:
     Pure function of (store, equations): this is the whole database-side
     computation, and by taking no cache and no desired index it cannot leak
     what it never sees.  Reference x = m·L + j reads byte x of the k
-    messages unpacked end to end.  An equation that is not
-    `scheme.is_canonical` over the store (a frozenset, unsorted, a repeated
-    message, a reference out of range) raises ContractViolation.
+    messages unpacked end to end.  If any equation is not canonical over
+    the store (a frozenset, unsorted, a repeated message, a reference out of
+    range; see `scheme.first_non_canonical`, which checks the whole list
+    before any bit is read), ContractViolation names the first.
     """
-    k, length = store.count, store.length
+    bad = first_non_canonical(equations, store.count, store.length)
+    if bad is not None:
+        raise ContractViolation(
+            f"equation {equations[bad]!r} is not canonical (see is_canonical)"
+        )
     bits = b"".join(store.bits)
     out = []
     for eq in equations:
-        if not is_canonical(eq, k, length):
-            raise ContractViolation(f"equation {eq!r} is not canonical (see is_canonical)")
         acc = 0
         for x in eq:
             acc ^= bits[x]
@@ -290,7 +301,9 @@ class Transcript:
     length and normalized cost are read off the plan, so they cannot
     disagree with it.  `decoded` is the desired message in the form of
     `store.bits`, its L 0/1 bytes, so a correct run has
-    `decoded == store.bits[theta]`.
+    `decoded == store.bits[theta]`.  Answers that are not the ints 0 and 1
+    (a bool is not an int here) or a `decoded` that is not L bytes of 0/1
+    raise ValueError.
     """
 
     plan: QueryPlan
@@ -302,8 +315,10 @@ class Transcript:
     def __post_init__(self) -> None:
         if tuple(len(a) for a in self.answers) != self.plan.downloads_per_db:
             raise ValueError("answer lengths do not match the plan's queries per database")
-        if any(set(a) - {0, 1} for a in self.answers):
+        if not all(map(_are_bits, self.answers)):
             raise ValueError("answers must be bits (0 or 1)")
+        if not _are_bit_bytes(self.decoded, self.plan.length):
+            raise ValueError(f"decoded must be {self.plan.length} bytes, each 0 or 1")
 
     @property
     def params(self) -> Params:

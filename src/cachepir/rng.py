@@ -15,17 +15,18 @@ stream in the same state: the loop draws below a size by asking
 size, the algorithm of `random.Random._randbelow_with_getrandbits`, so it
 consumes the same 32-bit words in the same order.  It skips the interpreter
 work of one `_randbelow` call per element, about half the cost of a draw.
-The kernels also fix the algorithm inside this package, so transcripts no
-longer depend on how CPython implements `sample` or `shuffle`.
-
-`prefetch` keeps `rng.sample(range(L), c)`: with c < L, CPython chooses
-between a pool and a set algorithm by a floating-point size rule, and
-copying that rule would save under 2% of a retrieval.
+`sample` draws the cache's c of L indices as `rng.sample(range(L), c)`
+does: CPython picks from a pool, through the same loop, or, when a c-item
+set is smaller than an L-item list by its floating-point size rule, by
+rejecting repeats, and `sample` copies that rule.  The kernels also fix the
+algorithm inside this package, so transcripts no longer depend on how
+CPython implements `sample` or `shuffle`.
 """
 
 from __future__ import annotations
 
 import random
+from math import ceil, log
 
 
 def derive_rng(seed, *labels) -> random.Random:
@@ -63,6 +64,34 @@ def permutation(rng: random.Random, n: int) -> list[int]:
     _fisher_yates(rng, pool, 1)
     pool.reverse()
     return pool
+
+
+def sample(rng: random.Random, n: int, c: int) -> list[int]:
+    """c distinct picks from range(n), 0 <= c <= n, exactly `rng.sample(range(n), c)`.
+
+    `sample` keeps a pool when an n-item list is no larger than a c-item
+    set (21 slots, plus a 4**ceil(log(3c, 4)) table when c > 5), drawing
+    the picks as `permutation` does but stopping after c of them;
+    otherwise it draws below n and redraws picks it already holds.
+    """
+    setsize = 21
+    if c > 5:
+        setsize += 4 ** ceil(log(c * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        _fisher_yates(rng, pool, n - c + 1)
+        picks = pool[n - c:]
+        picks.reverse()
+        return picks
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    picked = {}  # a set that keeps the picks in draw order
+    for _ in range(c):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked[j] = None
+    return list(picked)
 
 
 def shuffle(rng: random.Random, x: list) -> None:

@@ -19,7 +19,8 @@ references x = m·length + j, bit j of message m, where `length` is the
 plan's message length, sorted increasingly.  No sum touches a message twice,
 so the messages x // length strictly increase as well, and two equations
 over the same bits are equal tuples.  Renaming keeps every message range, so
-relabeled equations stay sorted.  `is_canonical` states this rule;
+relabeled equations stay sorted.  `first_non_canonical` states this rule
+for a whole query list and `is_canonical` for one equation;
 `protocol.answer` and the transcript loader, where equations enter from
 outside the builder, refuse any other form.  An int reference hashes and
 compares without unpacking a pair: the composed (4, 2) plan at L = 16 000
@@ -34,9 +35,12 @@ enclosing the ratio (past the last corner, blocks are single fully-cached
 bits that need no queries at all).  A corner ratio is the one-block case of
 the same split, so one path builds every plan: `draw_plan` draws all its
 randomness without the desired index, and `compose_plans` assembles the
-plan for one desired index from that draw.  So each database's view, its
-layouts renamed within each message and then shuffled, is drawn the same
-whichever message is wanted, by the shape of the interface.
+plan for one desired index from that draw, a whole corner at a time: the
+blocks of a corner differ only in the bits they are dealt, so each layout
+equation becomes all its copies in one pass over per-bit columns.  So each
+database's view, its layouts renamed within each message and then
+shuffled, is drawn the same whichever message is wanted, by the shape of
+the interface.
 `build_corner_plan` is a name for the path at r = r_s.
 """
 
@@ -47,7 +51,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, count, islice
+from itertools import chain, combinations, count, filterfalse
 from math import lcm
 
 from .bounds import (
@@ -68,6 +72,7 @@ Equation = tuple  # tuple[BitRef, ...], increasing, at most one bit per message
 __all__ = [
     "BitRef",
     "Equation",
+    "first_non_canonical",
     "is_canonical",
     "ContractViolation",
     "RoundCounts",
@@ -89,24 +94,32 @@ class ContractViolation(ValueError):
     """A caller-supplied structure (cache shape, plan shape) breaks a contract."""
 
 
-def is_canonical(eq, k: int, length: int) -> bool:
-    """True when `eq` is a tuple of ints 0 <= x < k·length whose messages
+def first_non_canonical(equations, k: int, length: int) -> int | None:
+    """Index of the first equation in `equations` that is not canonical, or
+    None when each is a tuple of ints 0 <= x < k·length whose messages
     x // length strictly increase: the canonical form of a GF(2) sum.
 
     Increasing ints alone are not enough: (m·length + 1, m·length + 5) names
-    message m twice.  A bool is not an int here.
+    message m twice.  A bool is not an int here.  With length < 1 only the
+    empty sum is canonical.
     """
-    if type(eq) is not tuple or (eq and length < 1):
-        return False
-    previous = -1
-    for x in eq:
-        if type(x) is not int:
-            return False
-        m = x // length
-        if not previous < m < k:
-            return False
-        previous = m
-    return True
+    for i, eq in enumerate(equations):
+        if type(eq) is not tuple or (eq and length < 1):
+            return i
+        previous = -1
+        for x in eq:
+            if type(x) is not int:
+                return i
+            m = x // length
+            if not previous < m < k:
+                return i
+            previous = m
+    return None
+
+
+def is_canonical(eq, k: int, length: int) -> bool:
+    """True when the one equation `eq` is canonical (see `first_non_canonical`)."""
+    return first_non_canonical((eq,), k, length) is None
 
 
 @dataclass(frozen=True)
@@ -400,8 +413,7 @@ def draw_plan(p: Params, split: SplitSpec, cache, seed) -> PlanDraw:
     for m in range(p.k):
         held = list(cache.indices[m])
         shuffle(derive_rng(seed, "deal-cached", m), held)
-        held_set = set(held)
-        rest = [i for i in range(split.total_length) if i not in held_set]
+        rest = list(filterfalse(set(held).__contains__, range(split.total_length)))
         shuffle(derive_rng(seed, "deal-fresh", m), rest)
         dealt.append(tuple(held + rest))
 
@@ -412,49 +424,66 @@ def draw_plan(p: Params, split: SplitSpec, cache, seed) -> PlanDraw:
     )
     order = []
     for db in range(p.n):
-        # machine ints: a list would hold one int object per position
-        positions = array("l", range(rows))
+        # Shuffled as a list, whose items are read without boxing, then held
+        # as machine ints: a list would keep one int object per position.
+        positions = list(range(rows))
         shuffle(derive_rng(seed, "shuffle", db), positions)
-        order.append(positions)
+        order.append(array("l", positions))
     return PlanDraw(split=split, seed=seed, dealt=tuple(dealt), order=tuple(order))
 
 
 def compose_plans(p: Params, theta: int, drawn: PlanDraw) -> QueryPlan:
     """Concatenate relabeled corner layouts over disjoint bit ranges; draws nothing.
 
-    Each corner of the split builds its layout once.  A block takes its
-    corner's cached quota from the head of each message's dealt order and
-    its uncached bits from the tail, and is the layout relabeled by that
-    permutation.  Fully-cached filler blocks come last and own no queries,
-    so they are never walked.  Each database's list ships in the drawn
-    order.  A ratio hitting a corner is the one-block case, and r = 1
-    returns an empty plan.
+    Block b of a corner is its layout relabeled by the next `quota` bits of
+    each message's dealt cached run and the next `length - quota` of its
+    uncached run, so layout bit j of message m takes, across the corner's
+    blocks, one strided slice of one run: a column.  Each dealt bit that an
+    equation reads is named m·L + j once, in its column, and each layout
+    equation becomes all its relabeled copies in one `zip` over its bits'
+    columns; the copies go back in block order, so the plan equals
+    `relabel` applied block by block.  Bits no equation reads (the filler
+    blocks' cached bits, which come last, and the uncached undesired bits a
+    last-corner block never downloads) are never named.  Each database's
+    list ships in the drawn order.  A ratio hitting a corner is the
+    one-block case, and r = 1 returns an empty plan.
     """
     _check_theta(p.k, theta)
     split = drawn.split
-    cached = split.cached_per_message
-    dealt = [(islice(bits, cached), islice(bits, cached, None)) for bits in drawn.dealt]
+    total, cached = split.total_length, split.cached_per_message
+    dealt = drawn.dealt
 
     built: list[list[Equation]] = [[] for _ in range(p.n)]
+    held, fresh = 0, cached  # where the corner's blocks start in each dealt order
     for corner, size in split.blocks:
         if corner is None:
             break  # fully-cached filler comes last and downloads nothing
         length, quota = _block_geometry(p, corner)
+        rest = length - quota
         layout = corner_equations(p, corner, theta)
-        for _ in range(size):
-            perms = [
-                [*islice(held, quota), *islice(rest, length - quota)]
-                for held, rest in dealt
-            ]
-            for db, eqs in enumerate(relabel(layout, perms, split.total_length)):
-                built[db].extend(eqs)
+        # Layout bit x, bit j of message m, named in every block: one strided
+        # slice of m's cached run when j < quota, else of its uncached run.
+        columns = [None] * (p.k * length)
+        for x in chain.from_iterable(chain.from_iterable(layout)):
+            if columns[x] is None:
+                m, j = divmod(x, length)
+                if j < quota:
+                    run = dealt[m][held + j : held + size * quota : quota]
+                else:
+                    run = dealt[m][fresh + j - quota : fresh + size * rest : rest]
+                columns[x] = list(map((m * total).__add__, run))
+        for db, eqs in enumerate(layout):
+            copies = [zip(*map(columns.__getitem__, eq)) for eq in eqs]
+            built[db].extend(chain.from_iterable(zip(*copies)))
+        held += size * quota
+        fresh += size * rest
 
     return QueryPlan(
         k=p.k,
         n=p.n,
-        length=split.total_length,
+        length=total,
         theta=theta,
-        r=Fraction(cached, split.total_length),
+        r=Fraction(cached, total),
         seed=drawn.seed,
         blocks=split.blocks,
         per_db=tuple(

@@ -302,6 +302,35 @@ def test_transcript_loader_refuses_inconsistent_file(edit):
         transcript_from_dict(data)
 
 
+def set_first(values, bit):
+    """Put the JSON boolean for `bit` where `values` first holds that bit."""
+    values[values.index(bit)] = bool(bit)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: set_first(d["answers"][0], 1),
+        lambda d: set_first(d["answers"][1], 0),
+        lambda d: set_first(d["cache"]["values"][0], d["cache"]["values"][0][0]),
+        lambda d: set_first(d["decoded"], 1),
+        lambda d: set_first(d["decoded"], 0),
+    ],
+    ids=["answer-true", "answer-false", "cached-bool", "decoded-true", "decoded-false"],
+)
+def test_transcript_loader_refuses_json_booleans(edit):
+    # True == 1 in Python, so such a file would load equal to the original
+    # yet not write back byte for byte
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    assert transcript_from_dict(file_dict(t)) == t
+    data = file_dict(t)
+    edit(data)
+    text = json.dumps(data)
+    assert "true" in text or "false" in text
+    with pytest.raises(ValueError, match="bits"):
+        transcript_from_dict(json.loads(text))
+
+
 def test_simulate_out_writes_format_2(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _, _ = run(

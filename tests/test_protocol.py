@@ -82,6 +82,21 @@ def test_cache_state_validation():
         CacheState(length=4, indices=((1, 1),), values=((0, 0),))
     with pytest.raises(ValueError, match="misaligned"):
         CacheState(length=4, indices=((1,), (2,)), values=((0,),))
+    with pytest.raises(ValueError, match="must be bits"):
+        CacheState(length=4, indices=((1,),), values=((True,),))
+
+
+@pytest.mark.parametrize(
+    "decoded",
+    [5, bytes(6), b"\x00\x01\x02\x00\x01\x00\x00", list(bytes(7))],
+    ids=["int", "wrong-length", "byte-of-2", "list"],
+)
+def test_transcript_refuses_decoded_that_is_not_its_bits(decoded):
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    assert len(t.decoded) == 7
+    dataclasses.replace(t, decoded=bytes(7))  # any 7 bytes of 0/1 construct
+    with pytest.raises(ValueError, match="decoded must be 7 bytes, each 0 or 1"):
+        dataclasses.replace(t, decoded=decoded)
 
 
 def flat(refs, length):

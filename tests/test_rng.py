@@ -9,7 +9,7 @@ import pytest
 from cachepir import Params, retrieve
 from cachepir.audit import montecarlo_privacy
 from cachepir.cli import transcript_to_dict
-from cachepir.rng import derive_rng, permutation, shuffle
+from cachepir.rng import derive_rng, permutation, sample, shuffle
 
 SIZES = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 40, 1000]
 STREAMS = range(20)
@@ -37,6 +37,20 @@ def test_shuffle_is_random_shuffle_bit_for_bit(n):
         twin.shuffle(theirs)
         assert all(a is b for a, b in zip(mine, theirs, strict=True))
         assert rng.getstate() == twin.getstate()
+
+
+# CPython's sample keeps a pool while n <= 21 for c <= 5, and while
+# n <= 21 + 64 = 85 for c = 6; past that it rejects repeats from a set.
+SAMPLE_SIZES = [0, 1, 5, 6, 21, 22, 85, 86, 1000]
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sample_is_random_sample_bit_for_bit(n):
+    for c in sorted({0, 1, 5, 6, n} & set(range(n + 1))):
+        for stream in STREAMS:
+            rng, twin = twins(stream)
+            assert sample(rng, n, c) == twin.sample(range(n), c), (n, c)
+            assert rng.getstate() == twin.getstate()
 
 
 def as_pairs(per_db, length):

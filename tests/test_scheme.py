@@ -1,10 +1,12 @@
 """Query-plan structure: round profiles, censuses, reuse patterns, memory-sharing."""
 
+import hashlib
 import inspect
 import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from cachepir import (
     corner_message_length,
     corner_ratio,
     draw_plan,
+    first_non_canonical,
     is_canonical,
     outer_bound,
     prefetch,
@@ -428,6 +431,75 @@ def test_one_draw_assembles_every_retrieved_plan(k, n, r, monkeypatch):
         assert compose_plans(p, theta, drawn) == shipped[theta]
 
 
+def compose_block_by_block(p, theta, drawn):
+    """Reference assembly: each block is the layout under its own `relabel`.
+
+    A block takes its corner's quota from the head of each message's cached
+    run and its uncached bits from the head of the uncached run.
+    """
+    split = drawn.split
+    cached = split.cached_per_message
+    runs = [(iter(bits[:cached]), iter(bits[cached:])) for bits in drawn.dealt]
+    built = [[] for _ in range(p.n)]
+    for corner, size in split.blocks:
+        if corner is None:
+            break
+        length = corner_message_length(p, corner)
+        quota = binom(p.k - 2, corner - 1)
+        layout = corner_equations(p, corner, theta)
+        for _ in range(size):
+            perms = [
+                [*islice(held, quota), *islice(rest, length - quota)] for held, rest in runs
+            ]
+            for db, eqs in enumerate(relabel(layout, perms, split.total_length)):
+                built[db].extend(eqs)
+    return tuple(tuple(eqs[i] for i in order) for eqs, order in zip(built, drawn.order))
+
+
+def compose_cases():
+    for k, n in [(3, 2), (4, 2), (4, 3), (5, 2)]:
+        p = Params(k, n)
+        corners = [corner_ratio(p, s) for s in range(k)]
+        for name, r in [
+            ("corner", corners[1]),
+            ("two-corners-low", (corners[0] + corners[1]) / 2),
+            ("two-corners-high", (corners[-2] + corners[-1]) / 2),
+            ("last-corner-and-filler", (corners[-1] + 1) / 2),
+            ("zero", F(0)),
+            ("one", F(1)),
+        ]:
+            yield pytest.param(k, n, r, id=f"{k}-{n}-{name}")
+
+
+@pytest.mark.parametrize("k,n,r", compose_cases())
+def test_compose_plans_equals_block_by_block_relabel(k, n, r):
+    p, seed = Params(k, n), 17
+    split = split_for_ratio(p, r)
+    store = random_store(k, split.total_length, seed)
+    drawn = draw_plan(p, split, prefetch(store, split.cached_per_message, seed), seed)
+    for theta in range(k):
+        assert compose_plans(p, theta, drawn).per_db == compose_block_by_block(p, theta, drawn)
+
+
+@pytest.mark.parametrize(
+    "k,n,r,theta,seed,digest",
+    [
+        # 99 blocks of the last corner, then 103 fully-cached filler bits
+        (4, 2, F(101, 200), 3, 21,
+         "942c1103d3aadf4f31e42896937c2f94c6eb528a3212d2d38fc273cd63c54da2"),
+        # 7 blocks of corner 0, then 27 of corner 1
+        (3, 3, F(1, 20), 1, 8,
+         "aa8d451e86f492ef1d9b359341f332b02af3b6488faefdb78fa6cdb23d2c467c"),
+    ],
+    ids=["last-corner-and-filler", "two-corners-3-3"],
+)
+def test_composed_transcript_digest_is_pinned(k, n, r, theta, seed, digest):
+    # taken over the format-2 file when each block was relabeled on its own
+    data = transcript_to_dict(retrieve(Params(k, n), theta, r, seed))
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # equation representation
 
@@ -500,19 +572,34 @@ def test_is_canonical_flat_references():
     assert not is_canonical((0,), k, 0)
 
 
+def test_first_non_canonical_names_the_first_offender():
+    k, length = 3, 7
+    good = [(), (0,), (6, 7, 20), (3 * 7 - 1,)]
+    assert first_non_canonical(good, k, length) is None
+    assert first_non_canonical([], k, length) is None
+    for name, eq in NON_CANONICAL.items():
+        equations = [*good, eq, *good, eq]
+        assert first_non_canonical(equations, k, length) == len(good), name
+    assert first_non_canonical([(), (0,)], k, 0) == 1
+    assert first_non_canonical([(0,), [1]], k, length) == 1
+
+
 def test_composed_plan_memory_stays_small():
     # frozenset equations held 9.7 MiB here, tuples of shared (m, j)
-    # references 5.2, and tuples of int references m·L + j hold 3.05
+    # references 5.2, and tuples of int references m·L + j hold 3.05.
+    # Assembly names only the dealt bits that equations read and copies no
+    # run, so its peak stays below 5 MiB.
     p, r = Params(4, 2), F(1, 1000)
     split = split_for_ratio(p, r)
     assert split.total_length == 16000
     store = random_store(4, split.total_length, 1)
-    cache = prefetch(store, split.cached_per_message, 1)
+    drawn = draw_plan(p, split, prefetch(store, split.cached_per_message, 1), 1)
     tracemalloc.start()
     try:
-        plan = compose_plans(p, 0, draw_plan(p, split, cache, 1))
-        held = tracemalloc.get_traced_memory()[0]
+        plan = compose_plans(p, 0, drawn)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert plan.total_downloads > 0
     assert held < 4 * 2**20
+    assert peak < 5 * 2**20
