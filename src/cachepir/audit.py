@@ -56,14 +56,13 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from itertools import chain, combinations, permutations, product, repeat
 
 from .bounds import (
     Params,
     corner_download_total,
     corner_message_length,
-    corner_ratio,
+    corner_point,
     outer_bound,
 )
 from .protocol import MAX_SIMULATED_BITS, DecodeError, Transcript, decode
@@ -217,21 +216,15 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     return PrivacyReport(passed=not bad, per_db=per_db, detail=_explain(bad))
 
 
-@cache
-def _corner_shape(p: Params, s: int) -> tuple[int, Fraction]:
-    """Message length and caching ratio of corner s, computed once per (p, s)."""
-    return corner_message_length(p, s), corner_ratio(p, s)
-
-
 def _corner_plan(p: Params, s: int, theta: int, per_db) -> QueryPlan:
     """One-block corner-s plan holding `per_db` as given, for the mutation hook."""
-    length, r = _corner_shape(p, s)
+    corner = corner_point(p, s)
     return QueryPlan(
         k=p.k,
         n=p.n,
-        length=length,
+        length=corner.msg_len,
         theta=theta,
-        r=r,
+        r=corner.ratio,
         seed=None,
         blocks=((s, 1),),
         per_db=tuple(tuple(eqs) for eqs in per_db),
@@ -248,7 +241,7 @@ def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
     draw, explained.
     """
     predicted = _predicted_supports(p, ((s, 1),))
-    length = _corner_shape(p, s)[0]
+    length = corner_message_length(p, s)
     worst = [Fraction(0)] * p.n
     first = ""
     for theta in thetas:

@@ -14,15 +14,18 @@ Everything here is computed with arbitrary-precision rationals
   bound in the number of messages, and
 * the large-K asymptote of the outer bound with the worst-case gap search.
 
-All operations are pure functions of their arguments.
+All operations are pure functions of their arguments.  `corner_point` caches
+each corner once; a point query of the outer bound bisects for the two corners
+enclosing r (`_enclosing_corner`, shared with `scheme.split_for_ratio`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, partial
 
 Rational = Fraction
 
@@ -131,43 +134,41 @@ def _check_theta(k: int, theta: int) -> None:
         raise ValueError(f"theta={theta} outside [0, {k - 1}]")
 
 
+@cache
+def corner_point(p: Params, s: int) -> CornerPoint:
+    """Corner s, computed once per (p, s): the module's one cache of corner values."""
+    _check_s(p, s)
+    cached = binom(p.k - 2, s - 1)
+    rounds = range(p.k - s)
+    length = cached + p.n * sum(binom(p.k - 1, s + i) * (p.n - 1) ** i for i in rounds)
+    total = p.n * sum(binom(p.k, s + 1 + i) * (p.n - 1) ** i for i in rounds)
+    return CornerPoint(
+        s=s,
+        ratio=Fraction(cached, length),
+        msg_len=length,
+        total_download=total,
+        cost=Fraction(total, length),
+    )
+
+
 def corner_message_length(p: Params, s: int) -> int:
     """Message length L(s) that makes the corner-s scheme exact."""
-    _check_s(p, s)
-    spread = sum(
-        binom(p.k - 1, s + i) * (p.n - 1) ** i * p.n for i in range(p.k - s)
-    )
-    return binom(p.k - 2, s - 1) + spread
+    return corner_point(p, s).msg_len
 
 
 def corner_download_total(p: Params, s: int) -> int:
     """Total downloaded bits D(r_s) of the corner-s scheme, over all databases."""
-    _check_s(p, s)
-    return sum(
-        binom(p.k, s + 1 + i) * (p.n - 1) ** i * p.n for i in range(p.k - s)
-    )
+    return corner_point(p, s).total_download
 
 
 def corner_ratio(p: Params, s: int) -> Fraction:
     """Caching ratio r_s at which mixtures of s cached bits are exact; r_0 = 0."""
-    _check_s(p, s)
-    return Fraction(binom(p.k - 2, s - 1), corner_message_length(p, s))
+    return corner_point(p, s).ratio
 
 
 def corner_cost(p: Params, s: int) -> Fraction:
     """Normalized download cost D(r_s) / L(s) of the corner-s scheme."""
-    _check_s(p, s)
-    return Fraction(corner_download_total(p, s), corner_message_length(p, s))
-
-
-def corner_point(p: Params, s: int) -> CornerPoint:
-    return CornerPoint(
-        s=s,
-        ratio=corner_ratio(p, s),
-        msg_len=corner_message_length(p, s),
-        total_download=corner_download_total(p, s),
-        cost=corner_cost(p, s),
-    )
+    return corner_point(p, s).cost
 
 
 def corner_points(p: Params) -> list[CornerPoint]:
@@ -175,23 +176,23 @@ def corner_points(p: Params) -> list[CornerPoint]:
     return [corner_point(p, s) for s in range(p.k)]
 
 
-@lru_cache(maxsize=None)
-def _outer_nodes(p: Params) -> tuple[tuple[Fraction, Fraction], ...]:
-    # Corner sequence extended with the synthetic full-cache endpoint (1, 0)
-    # so interpolation is uniform over [0, 1].
-    nodes = [(corner_ratio(p, s), corner_cost(p, s)) for s in range(p.k)]
-    nodes.append((Fraction(1), Fraction(0)))
-    return tuple(nodes)
+def _enclosing_corner(p: Params, r: Fraction) -> tuple[int, Fraction]:
+    """Last corner s with r_s <= r, and alpha with r = alpha·r_s + (1 - alpha)·r_{s+1}.
+
+    Past the last corner r_{s+1} is the full cache, 1.  The corner ratios
+    strictly increase, so a bisection reads about log2(k) of them.
+    """
+    s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
+    low = corner_ratio(p, s)
+    high = corner_ratio(p, s + 1) if s + 1 < p.k else 1
+    return s, (high - r) / (high - low)
 
 
 def outer_bound(p: Params, r) -> Fraction:
-    """Achievable cost at ratio r: linear interpolation between enclosing corners."""
-    r = _as_ratio(r)
-    nodes = _outer_nodes(p)
-    for (r_lo, c_lo), (r_hi, c_hi) in zip(nodes, nodes[1:]):
-        if r_lo <= r <= r_hi:
-            return c_lo + (c_hi - c_lo) * (r - r_lo) / (r_hi - r_lo)
-    raise AssertionError("unreachable: corner nodes cover [0, 1]")
+    """Achievable cost at r: memory-sharing between the enclosing corners; 0 at r = 1."""
+    s, alpha = _enclosing_corner(p, _as_ratio(r))
+    high = corner_cost(p, s + 1) if s + 1 < p.k else 0
+    return alpha * corner_cost(p, s) + (1 - alpha) * high
 
 
 def inner_corner(p: Params, i: int) -> Fraction:
@@ -201,7 +202,7 @@ def inner_corner(p: Params, i: int) -> Fraction:
     return Fraction(1, sum(p.n**j for j in range(p.k - i + 1)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _inner_segments(p: Params) -> tuple[tuple[Fraction, Fraction], ...]:
     # Segment with K+1-i = t leading messages contributes
     #   (1-r) * sum_{j<=t} n^-j  -  r * sum_{j<t} (t-j) n^-j  =  a - r * (a + b),
@@ -282,21 +283,17 @@ def matching_region(p: Params) -> tuple[Fraction, Fraction]:
 def collinearity_check(p: Params, s: int) -> bool:
     """Check that the corner-s point at k+1 messages lies on the k-message chord.
 
-    Computes the mixing weight from the ratios and verifies, in exact
-    arithmetic, that it lies in [0, 1] and reproduces the corner cost at k+1
-    messages as the same convex combination of the two k-message corner costs.
+    Verifies, in exact arithmetic, that its ratio lies between the k-message
+    corners s-1 and s, and that its cost is the k-message outer bound there:
+    memory-sharing between exactly those two corners.
     """
     if not 1 <= s <= p.k - 1:
         raise ValueError(f"corner index s={s} outside [1, {p.k - 1}]")
     up = Params(p.k + 1, p.n)
-    r_lo = corner_ratio(p, s - 1)
-    r_hi = corner_ratio(p, s)
     r_new = corner_ratio(up, s)
-    alpha = (r_hi - r_new) / (r_hi - r_lo)
-    if not 0 <= alpha <= 1:
+    if not corner_ratio(p, s - 1) <= r_new <= corner_ratio(p, s):
         return False
-    blended = alpha * corner_cost(p, s - 1) + (1 - alpha) * corner_cost(p, s)
-    return corner_cost(up, s) == blended
+    return corner_cost(up, s) == outer_bound(p, r_new)
 
 
 def asymptotic_outer(n: int, r) -> Fraction:

@@ -44,14 +44,25 @@ CURVE_HEADER = (
     "baseline,baseline_exact,gap,gap_exact"
 )
 
-_RATIO_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIO_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # q = 0 is no ratio
 
 
 def parse_ratio(text: str) -> Fraction:
-    """Strict ``p/q`` or integer ratio parser."""
+    """Strict ``p/q`` (q > 0) or integer ratio parser."""
     if not _RATIO_RE.match(text):
-        raise ValueError(f"ratio must be an integer or p/q, got {text!r}")
+        raise ValueError(f"ratio must be an integer or p/q with q > 0, got {text!r}")
     return Fraction(text)
+
+
+MAX_PRECISION = 1000  # the exact p/q printed beside each decimal has every digit
+
+
+def parse_precision(text: str) -> int:
+    """`--precision`, checked before any output: 1 to MAX_PRECISION digits."""
+    digits = int(text)
+    if not 1 <= digits <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"must be 1 to {MAX_PRECISION}, got {digits}")
+    return digits
 
 
 def fraction_token(value: Fraction) -> str:
@@ -433,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prec = argparse.ArgumentParser(add_help=False)  # all but `audit` render decimals
     prec.add_argument(
-        "--precision", type=int, default=12, help="significant digits for decimal rendering"
+        "--precision", type=parse_precision, default=12,
+        help=f"significant digits for decimal rendering, 1 to {MAX_PRECISION}",
     )
 
     sp = sub.add_parser("bounds", parents=[prec], help="corner table and point bounds")

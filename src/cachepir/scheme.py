@@ -47,10 +47,8 @@ the interface.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, count, filterfalse
 from math import lcm
 
@@ -59,6 +57,7 @@ from .bounds import (
     _as_ratio,
     _check_s,
     _check_theta,
+    _enclosing_corner,
     binom,
     corner_download_total,
     corner_message_length,
@@ -345,20 +344,17 @@ class SplitSpec:
 
 
 def split_for_ratio(p: Params, r) -> SplitSpec:
-    """Locate the enclosing corner pair of r and solve the divisibility constraints.
+    """Split r between its enclosing corners and solve the divisibility constraints.
 
-    Returns the smallest total message length for which both block counts are
-    integers.  The same formula covers the end points: a ratio hitting a
-    corner gets alpha = 1 and one block of that corner, and r = 1 gets
-    alpha = 0 and one 1-bit filler block.
+    The corners and alpha come from the outer bound's bisection.  Returns the
+    smallest total message length for which both block counts are integers.
+    The same formula covers the end points: a ratio hitting a corner gets
+    alpha = 1 and one block of that corner, and r = 1 gets alpha = 0 and one
+    1-bit filler block.
     """
-    r = _as_ratio(r)
-    # The corner ratios strictly increase, so O(log k) of them locate r.
-    s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
-    low_len, low_cached = _block_geometry(p, s)
-    high_len, high_cached = _block_geometry(p, s + 1 if s + 1 < p.k else None)
-    high_ratio = Fraction(high_cached, high_len)
-    alpha = (high_ratio - r) / (high_ratio - Fraction(low_cached, low_len))
+    s, alpha = _enclosing_corner(p, _as_ratio(r))
+    low_len = corner_message_length(p, s)
+    high_len = corner_message_length(p, s + 1) if s + 1 < p.k else 1
     total = lcm(
         (alpha / low_len).denominator, ((1 - alpha) / high_len).denominator
     )

@@ -363,6 +363,29 @@ def test_worst_case_gap_n2():
     assert delta <= F(1, 6)
 
 
+@pytest.mark.parametrize("r", [F(0), F(1, 10**60), F(1, 10**6), F(1, 3), F(1, 2), F(1)])
+def test_outer_bound_computes_two_corners_not_k(r):
+    p = Params(256, 2)
+    corner_point.cache_clear()
+    outer_bound(p, r)
+    assert corner_point.cache_info().misses <= 2 * p.k.bit_length() + 2
+
+
+def test_gap_at_most_one_sixth_at_finite_k():
+    # Outer and inner are both piece-wise linear, so their gap peaks at a
+    # corner of one of them: the maximum over those corners is exact.
+    worst = {}
+    for k in range(2, 31):
+        for n in range(2, 5):
+            p = Params(k, n)
+            corners = [corner_ratio(p, s) for s in range(k)]
+            corners += [inner_corner(p, i) for i in range(1, k)]
+            worst[k, n] = max(gap(p, r) for r in corners)
+    assert max(worst.values()) <= F(1, 6)
+    assert worst[10, 2] < worst[20, 2] < worst[30, 2]
+    assert F(13999, 10**5) < worst[30, 2] < F(14, 100)
+
+
 def test_worst_case_gap_decreasing_in_n():
     deltas = [worst_case_gap(n, 100)[1] for n in range(2, 7)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))

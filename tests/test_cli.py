@@ -42,7 +42,7 @@ def test_parse_ratio_strict():
     assert parse_ratio("1/7") == F(1, 7)
     assert parse_ratio("1") == F(1)
     assert parse_ratio("0") == F(0)
-    for bad in ("0.3", "1/7/2", "a", "1/ 7", ""):
+    for bad in ("0.3", "1/7/2", "a", "1/ 7", "", "1/0"):
         with pytest.raises(ValueError):
             parse_ratio(bad)
 
@@ -72,9 +72,14 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--k", "3"])  # missing --n
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--k", "3", "--n", "2", "--r", "0.3"])  # float ratio
-    assert exc.value.code == 2
+    for argv in (
+        ["bounds", "--k", "3", "--n", "2", "--r", "0.3"],  # float ratio
+        ["bounds", "--k", "3", "--n", "2", "--r", "1/0"],
+        ["simulate", "--k", "3", "--n", "2", "--r", "1/0", "--theta", "0", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     code, _, err = run(["bounds", "--k", "1", "--n", "2"], capsys)
     assert code == 2
     assert "error" in err
@@ -82,6 +87,24 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--k", "3", "--n", "2", "--s", "1", "--seed", "3", *removed])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "3", "--n", "2", "--precision", "0"],
+        ["simulate", "--k", "3", "--n", "2", "--s", "1", "--theta", "0", "--seed", "1",
+         "--precision", "0"],
+        ["gap", "--n", "2", "--kmax", "3", "--precision", "100000000000000000000"],
+    ],
+)
+def test_precision_out_of_range_exits_2_before_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--precision" in captured.err and "1 to 1000" in captured.err
 
 
 def test_simulate_both_r_and_s_rejected(capsys):

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachepir import scheme
+from cachepir import bounds, scheme
 from cachepir import (
     ContractViolation,
     Params,
     binom,
     build_corner_plan,
     compose_plans,
+    corner_cost,
     corner_download_total,
     corner_equations,
     corner_message_length,
@@ -387,20 +388,29 @@ def test_compose_cache_contract():
 
 @pytest.mark.parametrize("k", [2, 3, 5, 64])
 def test_split_finds_corner_by_bisection(k, monkeypatch):
+    # split_for_ratio and outer_bound share one bisection over the corner
+    # ratios, in bounds, so that is where its reads are counted.
     p = Params(k, 2)
     ratios = [corner_ratio(p, s) for s in range(k)] + [F(1)]
+    costs = [corner_cost(p, s) for s in range(k)] + [F(0)]
     calls = []
-    real = scheme.corner_ratio
+    real = bounds.corner_ratio
     monkeypatch.setattr(
-        scheme, "corner_ratio", lambda p, s: calls.append(s) or real(p, s)
+        bounds, "corner_ratio", lambda p, s: calls.append(s) or real(p, s)
     )
-    budget = k.bit_length()  # a bisection over range(k)
+    budget = k.bit_length() + 2  # a bisection over range(k), then both enclosing ratios
     for s in range(k):
         for r in (ratios[s], (ratios[s] + ratios[s + 1]) / 2, ratios[s + 1]):
-            calls.clear()
-            expected = max(i for i in range(k) if ratios[i] <= r)
-            assert split_for_ratio(p, r).s == expected, (s, r)
-            assert len(calls) <= budget
+            low = max(i for i in range(k) if ratios[i] <= r)
+            alpha = (ratios[low + 1] - r) / (ratios[low + 1] - ratios[low])
+            for locate, expected in (
+                (split_for_ratio, low),
+                (outer_bound, alpha * costs[low] + (1 - alpha) * costs[low + 1]),
+            ):
+                calls.clear()
+                found = locate(p, r)
+                assert (found.s if locate is split_for_ratio else found) == expected
+                assert 0 < len(calls) <= budget, (locate.__name__, s, r)
 
 
 # ---------------------------------------------------------------------------
