@@ -176,23 +176,27 @@ def corner_points(p: Params) -> list[CornerPoint]:
     return [corner_point(p, s) for s in range(p.k)]
 
 
-def _enclosing_corner(p: Params, r: Fraction) -> tuple[int, Fraction]:
-    """Last corner s with r_s <= r, and alpha with r = alpha·r_s + (1 - alpha)·r_{s+1}.
+def _enclosing_corner(
+    p: Params, r: Fraction
+) -> tuple[CornerPoint, CornerPoint, Fraction]:
+    """Corners low and high enclosing r, and alpha: r = alpha·r_low + (1 - alpha)·r_high.
 
-    Past the last corner r_{s+1} is the full cache, 1.  The corner ratios
-    strictly increase, so a bisection reads about log2(k) of them.
+    Past the last corner, high is the full cache: ratio 1, a 1-bit message, cost 0.
+    The corner ratios strictly increase, so a bisection reads about log2(k) of them.
     """
     s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
-    low = corner_ratio(p, s)
-    high = corner_ratio(p, s + 1) if s + 1 < p.k else 1
-    return s, (high - r) / (high - low)
+    low = corner_point(p, s)
+    if s + 1 < p.k:
+        high = corner_point(p, s + 1)
+    else:
+        high = CornerPoint(p.k, Fraction(1), 1, 0, Fraction(0))  # the full cache
+    return low, high, (high.ratio - r) / (high.ratio - low.ratio)
 
 
 def outer_bound(p: Params, r) -> Fraction:
     """Achievable cost at r: memory-sharing between the enclosing corners; 0 at r = 1."""
-    s, alpha = _enclosing_corner(p, _as_ratio(r))
-    high = corner_cost(p, s + 1) if s + 1 < p.k else 0
-    return alpha * corner_cost(p, s) + (1 - alpha) * high
+    low, high, alpha = _enclosing_corner(p, _as_ratio(r))
+    return alpha * low.cost + (1 - alpha) * high.cost
 
 
 def inner_corner(p: Params, i: int) -> Fraction:

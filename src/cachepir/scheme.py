@@ -352,16 +352,13 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     alpha = 1 and one block of that corner, and r = 1 gets alpha = 0 and one
     1-bit filler block.
     """
-    s, alpha = _enclosing_corner(p, _as_ratio(r))
-    low_len = corner_message_length(p, s)
-    high_len = corner_message_length(p, s + 1) if s + 1 < p.k else 1
-    total = lcm(
-        (alpha / low_len).denominator, ((1 - alpha) / high_len).denominator
-    )
+    low, high, alpha = _enclosing_corner(p, _as_ratio(r))
+    low_len, high_len = low.msg_len, high.msg_len
+    total = lcm((alpha / low_len).denominator, ((1 - alpha) / high_len).denominator)
     return SplitSpec(
         k=p.k,
         n=p.n,
-        s=s,
+        s=low.s,
         alpha=alpha,
         total_length=total,
         low_blocks=int(alpha * total / low_len),
