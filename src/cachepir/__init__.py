@@ -55,6 +55,7 @@ from .protocol import (
     MessageStore,
     Transcript,
     answer,
+    check_transcript,
     decode,
     prefetch,
     random_store,

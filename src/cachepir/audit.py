@@ -65,7 +65,7 @@ from .bounds import (
     corner_point,
     outer_bound,
 )
-from .protocol import MAX_SIMULATED_BITS, DecodeError, Transcript, decode
+from .protocol import DecodeError, Transcript, _check_simulation_budget, decode
 from .rng import derive_rng, permutation
 from .scheme import QueryPlan, corner_equations, relabel, round_profile
 
@@ -323,11 +323,7 @@ def montecarlo_privacy(
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     length = corner_message_length(p, s)
-    if p.k * length > MAX_SIMULATED_BITS:
-        raise ValueError(
-            f"corner {s} needs {p.k} messages of {length} bits, "
-            f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
-        )
+    _check_simulation_budget(p.k, length, f"corner {s} needs")
 
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)

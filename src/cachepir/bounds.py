@@ -77,6 +77,8 @@ class Params:
     n: int
 
     def __post_init__(self) -> None:
+        _check_int("k", self.k)
+        _check_int("n", self.n)
         if self.k < 2:
             raise ValueError(f"need at least 2 messages, got k={self.k}")
         if self.n < 2:
@@ -117,6 +119,12 @@ class CurvePoint:
             raise ValueError("gap is not outer - inner")
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse, with ValueError naming `name`, a value that is not an int (nor a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _as_ratio(r) -> Fraction:
     r = Fraction(r)
     if not 0 <= r <= 1:
@@ -130,18 +138,32 @@ def _check_s(p: Params, s: int) -> None:
 
 
 def _check_theta(k: int, theta: int) -> None:
+    _check_int("theta", theta)
     if not 0 <= theta < k:
         raise ValueError(f"theta={theta} outside [0, {k - 1}]")
 
 
 @cache
 def corner_point(p: Params, s: int) -> CornerPoint:
-    """Corner s, computed once per (p, s): the module's one cache of corner values."""
+    """Corner s, computed once per (p, s): the module's one cache of corner values.
+
+    L(s) = C(k-2, s-1) + n·Σ_i C(k-1, s+i)·(n-1)^i and D(r_s) = n·Σ_i
+    C(k, s+1+i)·(n-1)^i over i < k-s.  Each sum runs on products: the next
+    binomial is the last times one exact factor, so a corner at k = 3000
+    costs milliseconds where one `math.comb` per term cost tenths of a second.
+    """
     _check_s(p, s)
     cached = binom(p.k - 2, s - 1)
-    rounds = range(p.k - s)
-    length = cached + p.n * sum(binom(p.k - 1, s + i) * (p.n - 1) ** i for i in rounds)
-    total = p.n * sum(binom(p.k, s + 1 + i) * (p.n - 1) ** i for i in rounds)
+    low, high, weight = binom(p.k - 1, s), binom(p.k, s + 1), 1  # terms at i = 0
+    uncached = downloads = 0
+    for i in range(p.k - s):
+        uncached += low * weight
+        downloads += high * weight
+        low = low * (p.k - 1 - s - i) // (s + i + 1)  # C(k-1, s+i+1)
+        high = high * (p.k - 1 - s - i) // (s + i + 2)  # C(k, s+i+2)
+        weight *= p.n - 1
+    length = cached + p.n * uncached
+    total = p.n * downloads
     return CornerPoint(
         s=s,
         ratio=Fraction(cached, length),

@@ -4,7 +4,15 @@ Subcommands: `bounds` (corner tables and point queries), `curve` (tradeoff
 data behind the plots, CSV or JSON), `simulate` (one seeded retrieval run
 with audits, optional transcript persistence), `audit` (the privacy
 certificate on the plan `retrieve` ships at one corner, for every desired
-index), and `gap` (inner-corner gap table and the asymptotic worst case).
+index, all assembled from one draw), and `gap` (inner-corner gap table and
+the asymptotic worst case).
+
+The transcript loader is the JSON layer only: the format, the objects built
+from the file's values (each constructor checks its own fields), the
+simulation budget before any message is unpacked, and the values only a
+file records (download counts and cost).  Every rule that ties a
+transcript's fields together is `protocol.check_transcript`, which the
+loader calls last.
 
 Exit codes are a stable contract: 0 on success, 1 on verification or
 operational failure, 2 on usage errors.  Ratios are parsed strictly as
@@ -34,10 +42,10 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import (
-    MAX_SIMULATED_BITS, CacheState, DecodeError, MessageStore, Transcript, _are_bits,
-    answer, pack_bits, retrieve, unpack_bits,
+    CacheState, DecodeError, MessageStore, Transcript, _are_bits, _check_simulation_budget,
+    _draw, check_transcript, pack_bits, retrieve, unpack_bits,
 )
-from .scheme import QueryPlan, split_for_ratio
+from .scheme import QueryPlan, compose_plans
 
 CURVE_HEADER = (
     "r,r_exact,outer,outer_exact,inner,inner_exact,"
@@ -122,45 +130,38 @@ def _equations(data: dict):
 
 
 def transcript_from_dict(data: dict) -> Transcript:
-    """Rebuild a transcript and check the file's recorded values against it.
+    """Rebuild a transcript from a file's values, then `protocol.check_transcript` it.
 
     Only format 2 files load (see `TRANSCRIPT_FORMAT`); each hex message is
     unpacked once into its `length` 0/1 bytes, and the decoded bits become
     bytes.  A file whose "format" is missing or is anything but the int 2,
     k messages of `length` bits over `protocol.MAX_SIMULATED_BITS` (refused
     before any message is unpacked), a hex message wider than `length` bits
-    or negative, a missing key, a wrong type, answers, cached values or
-    decoded bits that are not the ints 0 and 1 (JSON true and false are
-    not: they would load equal but not write back the same), an equation
-    that `protocol.answer` refuses as not `scheme.is_canonical` (listed out
-    of order, naming one message twice, or a reference outside
-    range(k·length); none is re-sorted), answers other than the GF(2)
-    sums `answer` computes over the recorded messages, a decoded message
-    that is not `length` bits, recorded counts, cost, length or blocks that
-    differ from the ones the queries and the ratio give, a cache that does
-    not hold the ratio's number of bits for each of the k messages, a
-    cached value that differs from the recorded message's bit at that
-    index, or decoded bits that differ from the recorded message theta all
-    raise ValueError.
+    or negative, a missing key, a wrong type, a k, n, length, theta, block
+    corner or count, or cache index that is not an int, answers, cached
+    values or decoded bits that are not the ints 0 and 1 (JSON true and
+    false are none of these: they would load equal but not write back the
+    same), a decoded message that is not `length` bits, recorded download
+    counts or cost that differ from the ones the queries give, and every
+    transcript `check_transcript` refuses (length, blocks or cache against
+    the ratio, cached values, answers or decoded bits against the recorded
+    messages, and equations that `protocol.answer` refuses as not
+    `scheme.is_canonical`; none is re-sorted) raise ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
-        length = data["length"]
-        if params.k * length > MAX_SIMULATED_BITS:
-            raise ValueError(
-                f"transcript holds {params.k} messages of {length} bits, "
-                f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
-            )
         plan = QueryPlan(
             k=params.k,
             n=params.n,
-            length=length,
+            length=data["length"],
             theta=data["theta"],
             r=Fraction(data["r"]),
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
             per_db=_equations(data),
         )
+        length = plan.length
+        _check_simulation_budget(params.k, length, "transcript holds")
         cache = CacheState(
             length=length,
             indices=tuple(tuple(idx) for idx in data["cache"]["indices"]),
@@ -181,30 +182,16 @@ def transcript_from_dict(data: dict) -> Transcript:
             store=store,
             cache=cache,
         )
-        split = split_for_ratio(params, plan.r)
         for key, recorded, derived in (
             ("per_db_downloads", tuple(data["per_db_downloads"]), plan.downloads_per_db),
             ("total_downloads", data["total_downloads"], plan.total_downloads),
             ("cost", Fraction(data["cost"]), t.cost),
-            ("length", length, split.total_length),
-            ("blocks", plan.blocks, split.blocks),
-            ("cached messages", len(cache.indices), params.k),
-            ("cached bits per message", cache.bits_per_message, split.cached_per_message),
         ):
             if recorded != derived:
                 raise ValueError(
-                    f"transcript {key} {recorded} disagrees with its k, queries "
-                    f"and ratio ({derived})"
+                    f"transcript {key} {recorded} disagrees with its queries ({derived})"
                 )
-        for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
-            message = store.bits[m]
-            if tuple([message[j] for j in idx]) != vals:
-                raise ValueError(f"transcript messages contradict the cache of message {m}")
-        for db, (eqs, recorded) in enumerate(zip(plan.per_db, t.answers)):
-            if tuple(answer(store, eqs)) != recorded:
-                raise ValueError(f"transcript messages contradict the answers of db {db}")
-        if t.decoded != store.bits[plan.theta]:
-            raise ValueError(f"transcript decoded bits differ from message {plan.theta}")
+        check_transcript(t)
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed transcript: {err!r}") from err
     return t
@@ -390,9 +377,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     p = Params(args.k, args.n)
-    r = corner_ratio(p, args.s)
+    _, _, drawn = _draw(p, corner_ratio(p, args.s), args.seed)  # what retrieve draws
     for theta in range(p.k):
-        report = audit_mod.structural_symmetry(retrieve(p, theta, r, args.seed).plan)
+        report = audit_mod.structural_symmetry(compose_plans(p, theta, drawn))
         if not report.passed:
             break
     print(f"distance:  {report.distance}")

@@ -9,6 +9,14 @@ joined end to end; the packed int form (`pack_bits`, `unpack_bits`) exists
 only where content is drawn and where a transcript file stores it as hex.
 Database unawareness is structural: `answer` receives only the message store
 and the equations, never the cache or the desired index.
+
+Each constructor checks the form and shape of its own fields;
+`check_transcript` is the one statement of the rules that tie a
+transcript's fields together (the plan against its ratio's split, the cache
+and the answers against the store, the decoded message against message θ),
+which the transcript loader in `cli` applies to every file it reads.
+`_check_simulation_budget` states the one limit on simulated message bits,
+for `retrieve`, the loader and `audit.montecarlo_privacy`.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .rng import derive_rng, sample
 from .scheme import (
     ContractViolation,
     Equation,
+    PlanDraw,
     QueryPlan,
     compose_plans,
     draw_plan,
@@ -35,6 +44,7 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "Transcript",
+    "check_transcript",
     "DecodeError",
     "random_store",
     "prefetch",
@@ -120,6 +130,9 @@ class CacheState:
                 raise ValueError("cached values misaligned with cached indices")
             if not _are_bits(vals):
                 raise ValueError("cached values must be bits (0 or 1)")
+            odd = set(map(type, idx)) - {int}  # a bool is not an int here
+            if odd:
+                raise ValueError(f"cached index must be an int, got {odd.pop().__name__}")
             if idx and (min(idx) < 0 or max(idx) >= self.length):
                 raise ValueError("cached index outside message length")
             if len(set(idx)) != len(idx):
@@ -303,7 +316,8 @@ class Transcript:
     `store.bits`, its L 0/1 bytes, so a correct run has
     `decoded == store.bits[theta]`.  Answers that are not the ints 0 and 1
     (a bool is not an int here) or a `decoded` that is not L bytes of 0/1
-    raise ValueError.
+    raise ValueError.  Whether the fields agree with each other is
+    `check_transcript`'s question.
     """
 
     plan: QueryPlan
@@ -333,7 +347,77 @@ class Transcript:
         return Fraction(self.plan.total_downloads, self.length)
 
 
+def check_transcript(t: Transcript) -> None:
+    """Refuse, with ValueError, a transcript whose fields disagree with each other.
+
+    The one statement of those rules: the store and the cache hold k
+    messages of the plan's length; the plan's length and blocks are the ones
+    `split_for_ratio` gives its k, n and r; the cache holds the split's
+    number of bits of each of the k messages, each equal to the stored
+    message's bit at that index; each database's answers are the GF(2) sums
+    `answer` computes over the store (which refuses, with ContractViolation,
+    an equation that is not canonical); and `decoded` is message θ.
+    `retrieve` does not call it, because its transcripts agree by
+    construction and the check would recompute every answer.
+    """
+    plan, store, cache = t.plan, t.store, t.cache
+    if (store.count, store.length, cache.length) != (plan.k, plan.length, plan.length):
+        raise ValueError(
+            f"transcript store holds {store.count} messages of {store.length} bits "
+            f"and its cache messages of {cache.length}, the plan {plan.k} of {plan.length}"
+        )
+    split = split_for_ratio(t.params, plan.r)
+    for key, recorded, derived in (
+        ("length", plan.length, split.total_length),
+        ("blocks", plan.blocks, split.blocks),
+        ("cached messages", len(cache.indices), plan.k),
+        ("cached bits per message", cache.bits_per_message, split.cached_per_message),
+    ):
+        if recorded != derived:
+            raise ValueError(
+                f"transcript {key} {recorded} disagrees with its k, queries "
+                f"and ratio ({derived})"
+            )
+    for m, (idx, vals) in enumerate(zip(cache.indices, cache.values)):
+        message = store.bits[m]
+        if tuple([message[j] for j in idx]) != vals:
+            raise ValueError(f"transcript messages contradict the cache of message {m}")
+    for db, (eqs, recorded) in enumerate(zip(plan.per_db, t.answers)):
+        if tuple(answer(store, eqs)) != recorded:
+            raise ValueError(f"transcript messages contradict the answers of db {db}")
+    if t.decoded != store.bits[plan.theta]:
+        raise ValueError(f"transcript decoded bits differ from message {plan.theta}")
+
+
 MAX_SIMULATED_BITS = 2**22
+
+
+def _check_simulation_budget(k: int, length: int, what: str) -> None:
+    """Refuse, with ValueError, k messages of `length` bits over MAX_SIMULATED_BITS.
+
+    `what` opens the message, for example "transcript holds".  The message
+    gives the size as a power of two, not the number: a corner's length at
+    large k has hundreds of digits.
+    """
+    bits = k * length
+    if bits > MAX_SIMULATED_BITS:
+        raise ValueError(
+            f"{what} at least 2^{bits.bit_length() - 1} message bits in all, "
+            f"more than the simulation budget of {MAX_SIMULATED_BITS} bits"
+        )
+
+
+def _draw(p: Params, r, seed) -> tuple[MessageStore, CacheState, PlanDraw]:
+    """The store, the cache and the plan draw of `retrieve` at ratio r: all but θ.
+
+    The ratio is refused, with ValueError, before anything is allocated when
+    its split is over the simulation budget.
+    """
+    split = split_for_ratio(p, r)
+    _check_simulation_budget(p.k, split.total_length, "the ratio's split needs")
+    store = random_store(p.k, split.total_length, seed)
+    cache = prefetch(store, split.cached_per_message, seed)
+    return store, cache, draw_plan(p, split, cache, seed)
 
 
 def retrieve(p: Params, theta: int, r, seed) -> Transcript:
@@ -344,18 +428,12 @@ def retrieve(p: Params, theta: int, r, seed) -> Transcript:
     is allocated.  That also bounds the plan: it downloads fewer than 2L
     sums (the cost is at most its value at r = 0, which is below 2), each of
     at most k bits.  Analytic bound queries have no such limit.  Identical
-    arguments produce bit-identical transcripts.
+    arguments produce bit-identical transcripts, which pass
+    `check_transcript` by construction.
     """
     _check_theta(p.k, theta)
-    split = split_for_ratio(p, r)
-    if p.k * split.total_length > MAX_SIMULATED_BITS:
-        raise ValueError(
-            f"ratio {r} needs {p.k} messages of {split.total_length} bits, "
-            f"over the simulation budget of {MAX_SIMULATED_BITS} bits"
-        )
-    store = random_store(p.k, split.total_length, seed)
-    cache = prefetch(store, split.cached_per_message, seed)
-    plan = compose_plans(p, theta, draw_plan(p, split, cache, seed))
+    store, cache, drawn = _draw(p, r, seed)
+    plan = compose_plans(p, theta, drawn)
     answers = tuple(tuple(answer(store, eqs)) for eqs in plan.per_db)
     decoded = decode(plan, answers, cache)
     return Transcript(plan=plan, answers=answers, decoded=decoded, store=store, cache=cache)

@@ -55,6 +55,7 @@ from math import lcm
 from .bounds import (
     Params,
     _as_ratio,
+    _check_int,
     _check_s,
     _check_theta,
     _enclosing_corner,
@@ -170,8 +171,10 @@ class QueryPlan:
 
     `blocks` records the memory-sharing layout as (corner index, block count)
     pairs; a corner index of None marks fully-cached filler blocks that
-    contribute no queries.  Equations are not checked here: the sampled
-    audit's negative controls build two plans per draw, and would pay for it.
+    contribute no queries.  The length, θ and each block's corner and count
+    must be ints (a bool is not one here).  Equations are not checked here:
+    the sampled audit's negative controls build two plans per draw, and
+    would pay for it.
     """
 
     k: int
@@ -184,7 +187,12 @@ class QueryPlan:
     per_db: tuple[tuple[Equation, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_int("plan length", self.length)
         _check_theta(self.k, self.theta)
+        for corner, size in self.blocks:
+            if corner is not None:
+                _check_int("block corner", corner)
+            _check_int("block count", size)
         if len(self.per_db) != self.n:
             raise ValueError("per_db length does not match database count")
 

@@ -51,6 +51,12 @@ def test_params_validation():
         Params(3, 1)
 
 
+@pytest.mark.parametrize("k,n,field", [(3.0, 2, "k"), (True, 2, "k"), (3, 2.0, "n")])
+def test_params_refuse_non_int(k, n, field):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        Params(k, n)
+
+
 @pytest.mark.parametrize(
     "k,n,s,ratio",
     [
@@ -114,6 +120,21 @@ def test_corner_ratio_strictly_increasing():
         for n in range(2, 6):
             ratios = [corner_ratio(Params(k, n), s) for s in range(k)]
             assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_corner_point_matches_per_term_sums():
+    # corner_point sums running products; here each binomial is its own comb
+    for k in range(2, 61):
+        for n in range(2, 6):
+            p = Params(k, n)
+            for s in range(k):
+                rounds = range(k - s)
+                length = binom(k - 2, s - 1) + n * sum(
+                    binom(k - 1, s + i) * (n - 1) ** i for i in rounds
+                )
+                total = n * sum(binom(k, s + 1 + i) * (n - 1) ** i for i in rounds)
+                corner = corner_point(p, s)
+                assert (corner.msg_len, corner.total_download) == (length, total)
 
 
 def test_corner_point_and_sequence():

@@ -5,13 +5,14 @@ import shlex
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from cachepir import (
     Params,
+    compose_plans,
     decode,
+    draw_plan,
     drop_undesired_equation,
     enumerate_privacy,
     montecarlo_privacy,
@@ -19,7 +20,7 @@ from cachepir import (
     retrieve,
     verify_cost,
 )
-from cachepir import cli
+from cachepir import cli, protocol
 from cachepir.cli import (
     CURVE_HEADER,
     decimal_str,
@@ -244,6 +245,39 @@ def second_bit_of_undesired(data):
     eq.sort()
 
 
+def bool_cache_index(data):
+    """Cache bit 1 of message 0 under the index `true`, its value copied in.
+
+    True == 1, so the file stays consistent and only the type shows.
+    """
+    data["cache"]["indices"][0][0] = True
+    data["cache"]["values"][0][0] = (int(data["messages"][0], 16) >> 1) & 1
+
+
+# Ints in fields that JSON could hold as a bool or a float, each edit paired
+# with the field its refusal names.
+NON_INT_FIELDS = [
+    (lambda d: d.update(theta=bool(d["theta"])), "theta"),
+    (lambda d: d.update(theta=float(d["theta"])), "theta"),
+    (lambda d: d["blocks"][0].__setitem__(0, True), "block corner"),
+    (lambda d: d["blocks"][0].__setitem__(1, True), "block count"),
+    (lambda d: d["blocks"][0].__setitem__(1, 1.0), "block count"),
+    (bool_cache_index, "cached index"),
+    (lambda d: d["cache"]["indices"][1].__setitem__(0, 5.0), "cached index"),
+    (lambda d: d.update(length=7.0), "length"),
+]
+NON_INT_IDS = [
+    "bool-theta",
+    "float-theta",
+    "bool-block-corner",
+    "bool-block-count",
+    "float-block-count",
+    "bool-cache-index",
+    "float-cache-index",
+    "float-length",
+]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -281,6 +315,7 @@ def second_bit_of_undesired(data):
         lambda d: flip_message_bit(d, 0, d["cache"]["indices"][0][0]),
         lambda d: flip_message_bit(d, 1, L),
         lambda d: d["messages"].__setitem__(1, "-1"),
+        *(edit for edit, _ in NON_INT_FIELDS),
     ],
     ids=[
         "per_db_downloads",
@@ -315,6 +350,7 @@ def second_bit_of_undesired(data):
         "desired-cache-vs-message",
         "message-too-wide",
         "negative-message",
+        *NON_INT_IDS,
     ],
 )
 def test_transcript_loader_refuses_inconsistent_file(edit):
@@ -322,6 +358,14 @@ def test_transcript_loader_refuses_inconsistent_file(edit):
     assert data["per_db_downloads"] == [4, 4] and data["cost"] == "8/7"
     edit(data)
     with pytest.raises(ValueError):
+        transcript_from_dict(data)
+
+
+@pytest.mark.parametrize("edit,field", NON_INT_FIELDS, ids=NON_INT_IDS)
+def test_transcript_loader_names_non_int_field(edit, field):
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    edit(data)
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
         transcript_from_dict(data)
 
 
@@ -439,18 +483,49 @@ def test_audit_oversized_refused_before_allocating(capsys):
     assert peak < 2**20
 
 
-def test_audit_structural_certifies_every_desired_index(monkeypatch, capsys):
-    def leaky_at_theta_2(p, theta, r, seed):
-        plan = retrieve(p, theta, r, seed).plan
-        return SimpleNamespace(plan=drop_undesired_equation(plan) if theta == 2 else plan)
+def test_budget_refusal_states_sizes_not_numbers(capsys):
+    # L(1) at k = 1000 has hundreds of digits; the refusal gives k·L's size
+    code, _, err = run(
+        ["simulate", "--k", "1000", "--n", "2", "--s", "1", "--theta", "0",
+         "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "simulation budget" in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
-    monkeypatch.setattr(cli, "retrieve", leaky_at_theta_2)
+
+def test_audit_structural_certifies_every_desired_index(monkeypatch, capsys):
+    def leaky_at_theta_2(p, theta, drawn):
+        plan = compose_plans(p, theta, drawn)
+        return drop_undesired_equation(plan) if theta == 2 else plan
+
+    monkeypatch.setattr(cli, "compose_plans", leaky_at_theta_2)
     code, text, _ = run(
         ["audit", "--k", "3", "--n", "2", "--s", "1", "--seed", "3"], capsys
     )
     assert code == 1
     assert "detail:    theta 2: db 0:" in text
     assert "verdict:   FAIL" in text
+
+
+def test_audit_draws_one_plan_for_every_desired_index(monkeypatch, capsys):
+    # draw_plan takes no desired index, so one draw serves all k of them
+    drawn = []
+
+    def counted(*args):
+        drawn.append(draw_plan(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(protocol, "draw_plan", counted)
+    code, _, _ = run(
+        ["audit", "--k", "4", "--n", "2", "--s", "1", "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert len(drawn) == 1
+    for theta in range(4):
+        shipped = retrieve(Params(4, 2), theta, F(1, 15), 3).plan
+        assert compose_plans(Params(4, 2), theta, drawn[0]) == shipped
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])

@@ -18,6 +18,7 @@ from cachepir import (
     QueryPlan,
     Transcript,
     answer,
+    check_transcript,
     corner_message_length,
     corner_ratio,
     decode,
@@ -26,6 +27,7 @@ from cachepir import (
     retrieve,
     split_for_ratio,
 )
+from cachepir import protocol
 from cachepir.protocol import MAX_SIMULATED_BITS, pack_bits, unpack_bits
 from cachepir.rng import derive_rng
 
@@ -523,6 +525,57 @@ def test_transcript_answers_must_match_plan():
     short = (t.answers[0][:-1],) + t.answers[1:]
     with pytest.raises(ValueError, match="answer lengths"):
         dataclasses.replace(t, answers=short)
+
+
+@pytest.mark.parametrize(
+    "k,n,r",
+    [(3, 2, F(1, 7)), (4, 2, F(1, 5)), (3, 2, F(1)), (4, 3, F(2, 17)), (3, 3, F(1, 9))],
+    ids=["corner", "composed", "full-cache", "n3-corner", "n3-composed"],
+)
+def test_check_transcript_passes_fresh_retrieval(k, n, r):
+    for theta in range(k):
+        check_transcript(retrieve(Params(k, n), theta, r, 11))
+
+
+def flip(bits, i):
+    """`bits` (a tuple of ints or 0/1 bytes) with entry i flipped."""
+    flipped = list(bits)
+    flipped[i] ^= 1
+    return type(bits)(flipped)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: dataclasses.replace(
+            t, answers=(flip(t.answers[0], 0),) + t.answers[1:]), "answers of db 0"),
+        (lambda t: dataclasses.replace(t, cache=dataclasses.replace(
+            t.cache, values=(flip(t.cache.values[0], 0),) + t.cache.values[1:])),
+         "cache of message 0"),
+        (lambda t: dataclasses.replace(t, decoded=flip(t.decoded, 3)), "decoded bits differ"),
+        (lambda t: dataclasses.replace(
+            t, plan=dataclasses.replace(t.plan, blocks=((2, 1),))), "blocks"),
+        (lambda t: dataclasses.replace(t, cache=CacheState(
+            length=t.length, indices=t.cache.indices[:-1], values=t.cache.values[:-1])),
+         "cached messages"),
+        (lambda t: dataclasses.replace(t, store=random_store(3, 14, 1)), "store holds"),
+    ],
+    ids=["answer-bit", "cached-value", "decoded-bit", "blocks", "cache-k-1", "store-length"],
+)
+def test_check_transcript_refuses_disagreeing_fields(edit, message):
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    check_transcript(t)
+    with pytest.raises(ValueError, match=message):
+        check_transcript(edit(t))
+
+
+def test_retrieve_does_not_check_its_own_transcript(monkeypatch):
+    # consistent by construction: the check would recompute every answer
+    def refuse(t):
+        raise AssertionError("retrieve called check_transcript")
+
+    monkeypatch.setattr(protocol, "check_transcript", refuse)
+    assert retrieve(Params(3, 2), 1, F(1, 7), 2).plan.theta == 1
 
 
 def test_retrieve_reliability_sweep():
