@@ -523,6 +523,7 @@ def test_audit_draws_one_plan_for_every_desired_index(monkeypatch, capsys):
     )
     assert code == 0
     assert len(drawn) == 1
+    monkeypatch.undo()
     for theta in range(4):
         shipped = retrieve(Params(4, 2), theta, F(1, 15), 3).plan
         assert compose_plans(Params(4, 2), theta, drawn[0]) == shipped
