@@ -35,15 +35,27 @@ The prediction reads neither the desired index nor the randomness, so (i)
 and (ii) make every database's view distributed the same whatever the
 desired index.  The check is sufficient for any plan, and exact for plans
 that use each bit at most once per database, which is every plan `retrieve`
-ships.  A failing database is named in the report's `detail` with its first
-repeated bit, as (m, j), or its first subset with the count found and the
-count predicted.  The distributional audits, library-only and kept for the
-benchmark and their tests, draw the corner randomness (one permutation per
-message that relabels the corner layout) and certify every draw, over all
-draws (tiny instances only) or seeded samples.  A draw renames bits within
-each message, which neither (i) nor (ii) can see, so they reach the
-verdict of the certificate on one shipped plan, which is what `cachepir
-audit` runs for every desired index.
+ships.  One verdict core decides each database from its references in
+order and each equation's slice of them: (ii) first, as the census of the
+slices of the references' messages x // L, compared with the predicted
+census; then (i), as the number of distinct references.  A reference
+outside range(k·L) names a message outside range(k), so it fails (ii).
+Only a failing database is explained, in the report's `detail`: by its
+first reference outside range(k·L), else its first repeated bit, as
+(m, j), else its first subset with the count found and the count
+predicted.
+
+The distributional audits, library-only and kept for the benchmark and
+their tests, draw the corner randomness (one permutation per message that
+relabels the corner layout) and certify every draw, over all draws (tiny
+instances only) or seeded samples.  Each desired index's layout is
+compiled once by `scheme.relabel` into one gather per database, so a draw
+is relabeled by k `map`s and one gather per database and goes to the same
+core; its equations are built only for a mutation hook, and only the first
+failing draw is explained, since a report shows that one alone.  A draw
+renames bits within each message, which neither (i) nor (ii) can see, so
+they reach the verdict of the certificate on one shipped plan, which is
+what `cachepir audit` runs for every desired index.
 
 Mutation operators provide negative controls: an audit that cannot fail is
 worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
@@ -57,8 +69,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product, repeat
+from operator import floordiv, setitem
 
 from .bounds import (
+    CornerPoint,
     Params,
     corner_download_total,
     corner_message_length,
@@ -67,7 +81,7 @@ from .bounds import (
 )
 from .protocol import DecodeError, Transcript, _check_simulation_budget, decode
 from .rng import derive_rng, permutation
-from .scheme import QueryPlan, corner_equations, relabel, round_profile
+from .scheme import QueryPlan, _flatten, corner_equations, relabel, round_profile
 
 __all__ = [
     "PrivacyReport",
@@ -168,40 +182,71 @@ def _predicted_supports(p: Params, blocks) -> Counter:
     return census
 
 
-def _violations(per_db, predicted: Counter, k: int, length: int) -> dict:
-    """Why each failing database breaks (i) or (ii), keyed by database.
+# A set of a database's references is the fastest test of (i) on a draw's
+# few dozen, but it takes 16-64 bytes a reference: 2 MiB for the 36 000 of
+# one database of the (4, 2) plan at L = 17 992, where marking one byte per
+# bit of the k messages takes 70 KiB.  Past this many references the bytes
+# are used.
+_SET_REFS = 1 << 12
 
-    Check (i) marks each reference in one byte per bit of the k messages,
-    so it holds k·length bytes whatever the plan; references must lie in
-    range(k·length), as `scheme.is_canonical` requires.
+
+def _failing(views, predicted: Counter, k: int, length: int) -> list:
+    """The databases whose view breaks (i) or (ii), in order.
+
+    Each view is one database's references in order and an iterable of each
+    equation's slice of them, checked by `_breaks` and released before the
+    next view is made.
     """
-    bad = {}
-    for db, eqs in enumerate(per_db):
-        seen = bytearray(k * length)
-        for x in chain.from_iterable(eqs):
-            if seen[x]:
-                times = sum(eq.count(x) for eq in eqs)
-                bad[db] = f"bit {divmod(x, length)} appears {times} times"
-                break
-            seen[x] = 1
-        if db in bad:
-            continue
-        found = Counter([tuple([x // length for x in eq]) for eq in eqs])
-        if found.items() != predicted.items():
-            subset = min(
-                (sub for sub in found.keys() | predicted.keys()
-                 if found[sub] != predicted[sub]),
-                key=lambda sub: (len(sub), sub),
-            )
-            bad[db] = (
-                f"subset {subset} has {found[subset]} equations, "
-                f"round_profile predicts {predicted[subset]}"
-            )
-    return bad
+    broken = map(_breaks, views, repeat(predicted), repeat(k), repeat(length))
+    return [db for db, fails in enumerate(broken) if fails]
 
 
-def _explain(bad: dict) -> str:
-    return "; ".join(f"db {db}: {why}" for db, why in bad.items())
+def _breaks(view, predicted: Counter, k: int, length: int) -> bool:
+    """Check (ii) as a census of the slices of the references' messages
+    x // length, then check (i) as the number of distinct references.
+
+    A reference outside range(k·length) names a message outside range(k),
+    which no predicted subset holds, so once the census passes every
+    reference is in range and can mark its byte.
+    """
+    refs, spans = view
+    supports = tuple(list(map(floordiv, refs, repeat(length))))  # see scheme.relabel
+    if Counter(map(supports.__getitem__, spans)).items() != predicted.items():
+        return True
+    if len(refs) <= _SET_REFS:
+        return len(set(refs)) != len(refs)
+    seen = bytearray(k * length)
+    any(map(setitem, repeat(seen), refs, repeat(1)))
+    return seen.count(1) != len(refs)
+
+
+def _reason(eqs, predicted: Counter, k: int, length: int) -> str:
+    """Why one failing database breaks the certificate: its first reference
+    outside range(k·length), else its first repeated bit, as (m, j), else its
+    smallest subset with the count found and the count predicted."""
+    top = k * length
+    for x in chain.from_iterable(eqs):
+        if not 0 <= x < top:
+            return f"reference {x} lies outside range({top})"
+    seen = bytearray(top)
+    for x in chain.from_iterable(eqs):
+        if seen[x]:
+            times = sum(eq.count(x) for eq in eqs)
+            return f"bit {divmod(x, length)} appears {times} times"
+        seen[x] = 1
+    found = Counter([tuple([x // length for x in eq]) for eq in eqs])
+    subset = min(
+        (sub for sub in chain(found, predicted) if found[sub] != predicted[sub]),
+        key=lambda sub: (len(sub), sub),
+    )
+    return (
+        f"subset {subset} has {found[subset]} equations, "
+        f"round_profile predicts {predicted[subset]}"
+    )
+
+
+def _explain(reasons: dict) -> str:
+    return "; ".join([f"db {db}: {why}" for db, why in reasons.items()])
 
 
 def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
@@ -211,14 +256,18 @@ def structural_symmetry(plan: QueryPlan) -> PrivacyReport:
     passes.  Query order is deliberately ignored.
     """
     predicted = _predicted_supports(Params(plan.k, plan.n), plan.blocks)
-    bad = _violations(plan.per_db, predicted, plan.k, plan.length)
-    per_db = tuple(Fraction(int(db in bad)) for db in range(plan.n))
-    return PrivacyReport(passed=not bad, per_db=per_db, detail=_explain(bad))
+    k, length = plan.k, plan.length
+    reasons = {
+        db: _reason(eqs, predicted, k, length)
+        for db, eqs in enumerate(plan.per_db)
+        if _breaks(_flatten(eqs), predicted, k, length)
+    }
+    per_db = tuple(Fraction(int(db in reasons)) for db in range(plan.n))
+    return PrivacyReport(passed=not reasons, per_db=per_db, detail=_explain(reasons))
 
 
-def _corner_plan(p: Params, s: int, theta: int, per_db) -> QueryPlan:
-    """One-block corner-s plan holding `per_db` as given, for the mutation hook."""
-    corner = corner_point(p, s)
+def _corner_plan(p: Params, corner: CornerPoint, theta: int, per_db) -> QueryPlan:
+    """One-block plan at `corner` holding `per_db` as given, for the mutation hook."""
     return QueryPlan(
         k=p.k,
         n=p.n,
@@ -226,8 +275,8 @@ def _corner_plan(p: Params, s: int, theta: int, per_db) -> QueryPlan:
         theta=theta,
         r=corner.ratio,
         seed=None,
-        blocks=((s, 1),),
-        per_db=tuple(tuple(eqs) for eqs in per_db),
+        blocks=((corner.s, 1),),
+        per_db=per_db,
     )
 
 
@@ -235,29 +284,40 @@ def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
     """Per database, the worst share over `thetas` of draws failing the certificate.
 
     `draws(theta)` yields one permutation per message, which relabels that
-    index's corner layout onto references m·L(s) + j; `mutation`, when
-    given, first sees the draw wrapped in a one-block plan.  Each share is
-    exact, so it is 0 on a private scheme.  Also returns the first failing
-    draw, explained.
+    index's corner layout, compiled once per index, onto references
+    m·L(s) + j; `mutation`, when given, first sees the draw's equations
+    wrapped in a one-block plan.  Each share is exact, so it is 0 on a
+    private scheme.  Also returns the first failing draw, explained; no
+    other draw is.
     """
+    corner = corner_point(p, s)
+    length = corner.msg_len
     predicted = _predicted_supports(p, ((s, 1),))
-    length = corner_message_length(p, s)
     worst = [Fraction(0)] * p.n
     first = ""
     for theta in thetas:
-        layout = corner_equations(p, s, theta)
+        rename = relabel(corner_equations(p, s, theta))
         total = 0
         misses = [0] * p.n
         for perms in draws(theta):
             total += 1
-            per_db = relabel(layout, perms, length)
-            if mutation is not None:
-                per_db = mutation(_corner_plan(p, s, theta, per_db)).per_db
-            bad = _violations(per_db, predicted, p.k, length)
+            # The views are an argument only, so they die with the call,
+            # before the next draw is drawn.
+            if mutation is None:
+                bad = _failing(
+                    zip(rename.refs(perms, length), rename.spans), predicted, p.k, length
+                )
+            else:
+                per_db = rename.equations(perms, length)
+                per_db = mutation(_corner_plan(p, corner, theta, per_db)).per_db
+                bad = _failing(map(_flatten, per_db), predicted, p.k, length)
             for db in bad:
                 misses[db] += 1
             if bad and not first:
-                first = f"theta {theta}, draw {total}: {_explain(bad)}"
+                if mutation is None:
+                    per_db = rename.equations(perms, length)
+                why = {db: _reason(per_db[db], predicted, p.k, length) for db in bad}
+                first = f"theta {theta}, draw {total}: {_explain(why)}"
         worst = [max(w, Fraction(miss, total)) for w, miss in zip(worst, misses)]
     return tuple(worst), first
 

@@ -129,6 +129,19 @@ def _equations(data: dict):
     )
 
 
+def _fraction_field(data: dict, key: str) -> Fraction:
+    """A file's ratio or cost, only as the token `fraction_token` writes: a
+    value not in lowest terms or padded with spaces would load, but not
+    write back the same."""
+    text = data[key]
+    value = Fraction(text)
+    if fraction_token(value) != text:
+        raise ValueError(
+            f"transcript {key} {text!r} is not written as {fraction_token(value)!r}"
+        )
+    return value
+
+
 def transcript_from_dict(data: dict) -> Transcript:
     """Rebuild a transcript from a file's values, then `protocol.check_transcript` it.
 
@@ -141,12 +154,14 @@ def transcript_from_dict(data: dict) -> Transcript:
     corner or count, or cache index that is not an int, answers, cached
     values or decoded bits that are not the ints 0 and 1 (JSON true and
     false are none of these: they would load equal but not write back the
-    same), a decoded message that is not `length` bits, recorded download
-    counts or cost that differ from the ones the queries give, and every
-    transcript `check_transcript` refuses (length, blocks or cache against
-    the ratio, cached values, answers or decoded bits against the recorded
-    messages, and equations that `protocol.answer` refuses as not
-    `scheme.is_canonical`; none is re-sorted) raise ValueError.
+    same), an r or cost that is not the `fraction_token` of its value (in
+    lowest terms, no spaces), a decoded message that is not `length` bits,
+    recorded download counts or cost that differ from the ones the queries
+    give, and every transcript `check_transcript` refuses (length, blocks
+    or cache against the ratio, cached values, answers or decoded bits
+    against the recorded messages, and equations that `protocol.answer`
+    refuses as not `scheme.is_canonical`; none is re-sorted) raise
+    ValueError.
     """
     try:
         params = Params(data["k"], data["n"])
@@ -155,7 +170,7 @@ def transcript_from_dict(data: dict) -> Transcript:
             n=params.n,
             length=data["length"],
             theta=data["theta"],
-            r=Fraction(data["r"]),
+            r=_fraction_field(data, "r"),
             seed=data["seed"],
             blocks=tuple((s, count) for s, count in data["blocks"]),
             per_db=_equations(data),
@@ -185,7 +200,7 @@ def transcript_from_dict(data: dict) -> Transcript:
         for key, recorded, derived in (
             ("per_db_downloads", tuple(data["per_db_downloads"]), plan.downloads_per_db),
             ("total_downloads", data["total_downloads"], plan.total_downloads),
-            ("cost", Fraction(data["cost"]), t.cost),
+            ("cost", _fraction_field(data, "cost"), t.cost),
         ):
             if recorded != derived:
                 raise ValueError(

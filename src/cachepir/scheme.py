@@ -47,10 +47,12 @@ the interface.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count, filterfalse
+from itertools import accumulate, chain, combinations, count, filterfalse, repeat
 from math import lcm
+from operator import add, itemgetter
 
 from .bounds import (
     Params,
@@ -81,6 +83,7 @@ __all__ = [
     "SplitSpec",
     "round_profile",
     "corner_equations",
+    "Relabeling",
     "relabel",
     "build_corner_plan",
     "split_for_ratio",
@@ -277,19 +280,81 @@ def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
     return per_db
 
 
-def relabel(per_db, perms, length: int) -> list[list[Equation]]:
-    """Rename bit j of message m of a layout to m·length + perms[m][j].
+def _flatten(eqs) -> tuple[list[BitRef], Iterator[slice]]:
+    """One query list as its references in order and, lazily, each equation's
+    slice of them.  `eqs` is read three times, so it must be a sequence."""
+    return list(chain.from_iterable(eqs)), map(
+        slice, accumulate(map(len, eqs), initial=0), accumulate(map(len, eqs))
+    )
 
-    The layout's stride is the permutations' common size: its bit x is bit
-    x % size of message x // size.  Each message keeps its range, so each
-    equation stays sorted.
+
+def _gather(refs: tuple[BitRef, ...]) -> Callable[[list], tuple]:
+    """names -> the tuple of names[x] for x in refs, in one C call where it can.
+
+    `itemgetter` returns a bare item for one index and takes no empty list.
     """
-    names = [m * length + j for m, perm in enumerate(perms) for j in perm]
-    # tuple() of a list is allocated at its final size.  From a generator it
-    # is resized instead, bypassing CPython's per-size tuple free list, yet
-    # joins that list when it dies, so the list fills to its cap and holds
-    # the memory (0.25 MiB in an audit that relabels a layout per draw).
-    return [[tuple([names[x] for x in eq]) for eq in eqs] for eqs in per_db]
+    if len(refs) > 1:
+        return itemgetter(*refs)
+    return lambda names: tuple(map(names.__getitem__, refs))
+
+
+@dataclass(frozen=True, slots=True)
+class Relabeling:
+    """A layout compiled once for renaming under many draws.
+
+    Per database, one gather over the layout's flat references, and each
+    equation's slice of them.  A draw, one permutation per message of the
+    layout's common size, is applied by k `map`s that build its naming
+    table and one gather per database; nothing is done per equation unless
+    `equations` asks for the tuples.
+    """
+
+    gathers: tuple[Callable[[list], tuple], ...]
+    spans: tuple[list[slice], ...]
+
+    def refs(self, perms, length: int) -> list[tuple[BitRef, ...]]:
+        """Per database, its renamed references in layout order.
+
+        Bit j of message m becomes m·length + perms[m][j]: the layout's
+        stride is the permutations' common size, so its bit x is bit
+        x % size of message x // size.
+        """
+        names = []
+        for m, perm in enumerate(perms):
+            names += map(add, repeat(m * length), perm)
+        return [gather(names) for gather in self.gathers]
+
+    def equations(self, perms, length: int) -> tuple[tuple[Equation, ...], ...]:
+        """Per database, its renamed equations: tuples sliced from `refs`.
+
+        Each message keeps its range, so each equation stays sorted.
+        """
+        return tuple([  # each tuple of a list: see relabel
+            tuple(list(map(refs.__getitem__, spans)))
+            for refs, spans in zip(self.refs(perms, length), self.spans)
+        ])
+
+
+def relabel(per_db) -> Relabeling:
+    """Compile a layout, per database a sequence of equations, for renaming.
+
+    The one renaming code: compile once, then apply `Relabeling.refs` or
+    `Relabeling.equations` per draw; every audit draw is its corner layout
+    under one of these.  Equations come out as slices of a tuple, which is
+    allocated at its final size, as `tuple()` of a list is.  A tuple built
+    from a generator is resized instead, bypassing CPython's per-size tuple
+    free list, yet joins that list when it dies, so the list fills to its
+    cap and holds the memory (0.25 MiB in an audit that renames a layout
+    per draw).
+    """
+    gathers, spans = [], []
+    for eqs in per_db:
+        refs, slices = _flatten(eqs)
+        gathers.append(_gather(tuple(refs)))
+        slices = list(slices)
+        # a corner's databases list equations of the same lengths: one list serves
+        spans.append(spans[-1] if spans and spans[-1] == slices else slices)
+    return Relabeling(gathers=tuple(gathers), spans=tuple(spans))
 
 
 def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:

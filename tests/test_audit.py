@@ -21,6 +21,7 @@ from cachepir import (
     corner_download_total,
     corner_equations,
     corner_message_length,
+    corner_point,
     corner_ratio,
     decode,
     drop_undesired_equation,
@@ -384,10 +385,24 @@ def test_failing_certificate_explains_itself():
     assert structural_symmetry(t.plan).detail == ""
 
 
+@pytest.mark.parametrize("x", [-1, 21], ids=["negative", "past-the-end"])
+def test_certificate_names_reference_out_of_range(x):
+    # k·L = 21 here.  Check (i) used to index its byte map with the
+    # reference: 21 raised IndexError, and -1 marked the last bit instead.
+    t = retrieve(Params(3, 2), 0, F(1, 7), 1)
+    first, *rest = t.plan.per_db[0]
+    eqs = ((x, *first[1:]), *rest)
+    plan = dataclasses.replace(t.plan, per_db=(eqs, *t.plan.per_db[1:]))
+    report = structural_symmetry(plan)
+    assert report.per_db == (1, 0)
+    assert report.detail == f"db 0: reference {x} lies outside range(21)"
+
+
 def test_structural_symmetry_memory_stays_small():
     # Check (i) marks one byte per bit of the k messages, 70 KiB here; a
-    # set of one database's bit references took about 3 MiB.  The support
-    # census is most of what is left, about 1.1 MiB.
+    # set of one database's bit references took about 3 MiB.  One
+    # database's references and their messages, as two tuples, are most of
+    # what is left: the peak is about 0.9 MiB.
     t = retrieve(Params(4, 2), 0, F(1, 2249), 1)
     assert t.length == 17992
     tracemalloc.start()
@@ -464,7 +479,7 @@ def test_unshuffled_views_tell_the_desired_index():
 def test_enumeration_catches_leak():
     p = Params(2, 2)
     length = corner_message_length(p, 0)
-    per_db, _ = _draw_distance(
+    per_db, detail = _draw_distance(
         p,
         0,
         range(p.k),
@@ -472,6 +487,12 @@ def test_enumeration_catches_leak():
         skip_message_symmetry,
     )
     assert per_db == (1, 1)
+    # pinned as it stood when every failing draw was explained
+    assert detail == (
+        "theta 0, draw 1: "
+        "db 0: subset (1,) has 0 equations, round_profile predicts 1; "
+        "db 1: subset (1,) has 0 equations, round_profile predicts 1"
+    )
 
 
 @pytest.mark.parametrize(
@@ -523,7 +544,10 @@ def test_montecarlo_draw_matches_shipped_supports(k, n, s):
         rng = derive_rng(seed, "mc", theta)
         perms = [rng.sample(range(length), length) for _ in range(k)]
         draw = _corner_plan(
-            p, s, theta, relabel(corner_equations(p, s, theta), perms, length)
+            p,
+            corner_point(p, s),
+            theta,
+            relabel(corner_equations(p, s, theta)).equations(perms, length),
         )
         for got, want in zip(draw.per_db, shipped.per_db):
             assert Counter(tuple(x // length for x in eq) for eq in got) == Counter(
@@ -534,9 +558,10 @@ def test_montecarlo_draw_matches_shipped_supports(k, n, s):
 
 
 def test_montecarlo_memory_stays_small():
-    # Each draw relabels the layout into short-lived equation tuples.  Tuples
-    # built from generators would fill CPython's tuple free lists (emptied by
-    # the full collection below) to about 0.25 MiB; this audit needs ~0.03.
+    # Each draw relabels the layout into short-lived tuples of references.
+    # Tuples built from generators would fill CPython's tuple free lists
+    # (emptied by the full collection below) to about 0.25 MiB; this audit
+    # needs ~0.02.
     gc.collect()
     tracemalloc.start()
     try:
@@ -565,20 +590,67 @@ def test_montecarlo_mutant_fails():
     assert report.per_db == (1, 0)
 
 
-def test_montecarlo_catches_rare_leak():
-    # One draw in 33 leaks, so a tolerance of 0.05 would pass it.
+def leak_every_33rd():
     calls = 0
 
-    def leak_every_33rd(plan):
+    def leak(plan):
         nonlocal calls
         calls += 1
         return drop_undesired_equation(plan) if calls % 33 == 0 else plan
 
+    return leak
+
+
+def test_montecarlo_catches_rare_leak():
+    # One draw in 33 leaks, so a tolerance of 0.05 would pass it.
     report = montecarlo_privacy(
-        Params(3, 2), 1, 1000, seed=7, mutation=leak_every_33rd
+        Params(3, 2), 1, 1000, seed=7, mutation=leak_every_33rd()
     )
     assert not report.passed
     assert report.distance == F(3, 100)
+
+
+# (passed, per_db, detail) of the draw audits as they stood when every
+# failing draw was explained; only the first is explained now.
+SKIP_321 = (
+    "theta 0, draw 1: "
+    "db 0: subset (1, 2) has 0 equations, round_profile predicts 1; "
+    "db 1: subset (1, 2) has 0 equations, round_profile predicts 1"
+)
+PINNED_DRAW_REPORTS = [
+    ((3, 2, 1), lambda: skip_message_symmetry, False, (1, 1), SKIP_321),
+    ((3, 2, 1), lambda: reused_bit, False, (1, 0),
+     "theta 0, draw 1: db 0: bit (0, 4) appears 2 times"),
+    ((3, 2, 1), leak_every_33rd, False, (F(3, 100), 0),
+     "theta 0, draw 33: db 0: subset (1, 2) has 0 equations, round_profile predicts 1"),
+    ((4, 2, 2), lambda: bias_mixture_assignment, False, (1, 1),
+     "theta 0, draw 1: db 0: bit (1, 6) appears 3 times; "
+     "db 1: bit (1, 6) appears 3 times"),
+    ((4, 3, 1), lambda: doubled, False, (1, 1, 1),
+     "theta 0, draw 1: db 0: bit (0, 27) appears 2 times; "
+     "db 1: bit (0, 39) appears 2 times; db 2: bit (0, 13) appears 2 times"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,mutation,passed,per_db,detail",
+    PINNED_DRAW_REPORTS,
+    ids=["skip", "reused-bit", "rare-leak", "bias", "doubled"],
+)
+def test_montecarlo_reports_are_pinned(shape, mutation, passed, per_db, detail):
+    k, n, s = shape
+    report = montecarlo_privacy(Params(k, n), s, 1000, seed=7, mutation=mutation())
+    assert (report.passed, report.per_db, report.detail) == (passed, per_db, detail)
+
+
+def test_certificate_past_255_messages():
+    # Message 256 is in every support of the last corner at k = 257, where
+    # a census keyed by bytes could not hold it.
+    p = Params(257, 2)
+    t = retrieve(p, 256, corner_ratio(p, 256), 1)
+    assert structural_symmetry(t.plan).passed
+    report = montecarlo_privacy(p, 256, 1000, 1)
+    assert (report.passed, report.per_db, report.detail) == (True, (0, 0), "")
 
 
 def test_montecarlo_draws_every_desired_index():

@@ -315,6 +315,10 @@ NON_INT_IDS = [
         lambda d: flip_message_bit(d, 0, d["cache"]["indices"][0][0]),
         lambda d: flip_message_bit(d, 1, L),
         lambda d: d["messages"].__setitem__(1, "-1"),
+        lambda d: d.update(r="2/14"),
+        lambda d: d.update(r=" 1/7"),
+        lambda d: d.update(cost="16/14"),
+        lambda d: d.update(cost="8/7 "),
         *(edit for edit, _ in NON_INT_FIELDS),
     ],
     ids=[
@@ -350,6 +354,10 @@ NON_INT_IDS = [
         "desired-cache-vs-message",
         "message-too-wide",
         "negative-message",
+        "r-not-lowest-terms",
+        "r-with-space",
+        "cost-not-lowest-terms",
+        "cost-with-space",
         *NON_INT_IDS,
     ],
 )
@@ -533,6 +541,14 @@ def test_audit_draws_one_plan_for_every_desired_index(monkeypatch, capsys):
 def test_audit_structural_mode(s, capsys):
     code, text, _ = run(
         ["audit", "--k", "3", "--n", "2", "--s", str(s), "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert text == "distance:  0\nper-db:    0, 0\nverdict:   pass\n"
+
+
+def test_audit_past_255_messages(capsys):
+    code, text, _ = run(
+        ["audit", "--k", "257", "--n", "2", "--s", "256", "--seed", "1"], capsys
     )
     assert code == 0
     assert text == "distance:  0\nper-db:    0, 0\nverdict:   pass\n"

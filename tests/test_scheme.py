@@ -441,7 +441,8 @@ def test_one_draw_assembles_every_retrieved_plan(k, n, r, monkeypatch):
 
 
 def compose_block_by_block(p, theta, drawn):
-    """Reference assembly: each block is the layout under its own `relabel`.
+    """Reference assembly: each block is the layout, compiled once by
+    `relabel`, renamed by that block's own permutations.
 
     A block takes its corner's quota from the head of each message's cached
     run and its uncached bits from the head of the uncached run.
@@ -455,12 +456,12 @@ def compose_block_by_block(p, theta, drawn):
             break
         length = corner_message_length(p, corner)
         quota = binom(p.k - 2, corner - 1)
-        layout = corner_equations(p, corner, theta)
+        rename = relabel(corner_equations(p, corner, theta))
         for _ in range(size):
             perms = [
                 [*islice(held, quota), *islice(rest, length - quota)] for held, rest in runs
             ]
-            for db, eqs in enumerate(relabel(layout, perms, split.total_length)):
+            for db, eqs in enumerate(rename.equations(perms, split.total_length)):
                 built[db].extend(eqs)
     return tuple(tuple(eqs[i] for i in order) for eqs, order in zip(built, drawn.order))
 
@@ -552,9 +553,10 @@ def test_equations_are_sorted_tuples(k, n, r):
     length = corner_message_length(p, s)
     perms = [list(reversed(range(length))) for _ in range(k)]
     assert_canonical(layout, k, length)
-    assert_canonical(relabel(layout, perms, length), k, length)
+    rename = relabel(layout)
+    assert_canonical(rename.equations(perms, length), k, length)
     # onto a longer message, as a block of a composed plan is
-    assert_canonical(relabel(layout, perms, 3 * length), k, 3 * length)
+    assert_canonical(rename.equations(perms, 3 * length), k, 3 * length)
 
 
 # Flat references that are not canonical over k=3 messages of 7 bits; answer
