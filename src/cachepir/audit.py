@@ -71,16 +71,9 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product, repeat
 from operator import floordiv, setitem
 
-from .bounds import (
-    CornerPoint,
-    Params,
-    corner_download_total,
-    corner_message_length,
-    corner_point,
-    outer_bound,
-)
+from .bounds import CornerPoint, Params, corner_point, outer_bound
 from .protocol import DecodeError, Transcript, _check_simulation_budget, decode
-from .rng import derive_rng, permutation
+from .rng import derive_rng, sample
 from .scheme import QueryPlan, _flatten, corner_equations, relabel, round_profile
 
 __all__ = [
@@ -168,7 +161,7 @@ def _predicted_supports(p: Params, blocks) -> Counter:
 
     Round i of corner s downloads C(k-1, i-1) desired and C(k-1, i)
     undesired sums per database, (n-1)^(i-s-1) for each of the C(k, i)
-    i-subsets of the messages; filler blocks download nothing.
+    i-subsets of the messages; the full cache's blocks download nothing.
     """
     census = Counter()
     for s, count in blocks:
@@ -280,23 +273,23 @@ def _corner_plan(p: Params, corner: CornerPoint, theta: int, per_db) -> QueryPla
     )
 
 
-def _draw_distance(p: Params, s: int, thetas, draws, mutation=None) -> tuple:
-    """Per database, the worst share over `thetas` of draws failing the certificate.
+def _draw_distance(p: Params, corner: CornerPoint, draws, mutation=None) -> tuple:
+    """Per database, the worst share over the desired indices of draws
+    failing the certificate.
 
     `draws(theta)` yields one permutation per message, which relabels that
-    index's corner layout, compiled once per index, onto references
+    index's layout of `corner`, compiled once per index, onto references
     m·L(s) + j; `mutation`, when given, first sees the draw's equations
     wrapped in a one-block plan.  Each share is exact, so it is 0 on a
     private scheme.  Also returns the first failing draw, explained; no
     other draw is.
     """
-    corner = corner_point(p, s)
     length = corner.msg_len
-    predicted = _predicted_supports(p, ((s, 1),))
+    predicted = _predicted_supports(p, ((corner.s, 1),))
     worst = [Fraction(0)] * p.n
     first = ""
-    for theta in thetas:
-        rename = relabel(corner_equations(p, s, theta))
+    for theta in range(p.k):
+        rename = relabel(corner_equations(p, corner.s, theta))
         total = 0
         misses = [0] * p.n
         for perms in draws(theta):
@@ -338,10 +331,10 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
     the count L(s)!^k · (D/n)!^n up one factor at a time and refuses the
     instance, with ValueError, as soon as it passes MAX_OUTCOMES.
     """
-    length = corner_message_length(p, s)
-    per_db_eqs = corner_download_total(p, s) // p.n
+    corner = corner_point(p, s)
+    length = corner.msg_len
     outcomes = 1
-    for top, times in ((length, p.k), (per_db_eqs, p.n)):
+    for top, times in ((length, p.k), (corner.total_download // p.n, p.n)):
         for factor in chain.from_iterable(repeat(range(2, top + 1), times)):
             outcomes *= factor
             if outcomes > MAX_OUTCOMES:
@@ -350,7 +343,7 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
                     f"{MAX_OUTCOMES} outcomes its guard allows"
                 )
     per_db, detail = _draw_distance(
-        p, s, range(p.k), lambda _: product(permutations(range(length)), repeat=p.k)
+        p, corner, lambda _: product(permutations(range(length)), repeat=p.k)
     )
     return PrivacyReport(passed=max(per_db) == 0, per_db=per_db, detail=detail)
 
@@ -371,26 +364,27 @@ def montecarlo_privacy(
     100 samples about once in twenty.  At 1000 trials and k ≤ 5 every index
     gets at least 250 draws, which that leak escapes about once in two
     thousand, and index 0 gets 1000, which it almost never escapes.
-    A sample is one uniform permutation per message, drawn by
-    `rng.permutation` (bit for bit `random.Random.sample`); that is the space
-    `enumerate_privacy` walks: its head is a uniform cache, and head and
-    tail are in uniform consumption order, as `prefetch` and `draw_plan`
-    draw them.  `mutation` hooks a plan transform in front of the
+    A sample is one uniform permutation per message, drawn by `rng.sample`
+    as all L(s) of its indices (bit for bit `random.Random.sample`); that is
+    the space `enumerate_privacy` walks: its head is a uniform cache, and
+    head and tail are in uniform consumption order, as `prefetch` and
+    `draw_plan` draw them.  `mutation` hooks a plan transform in front of the
     certificate, which is how the negative controls are exercised.  A
     corner whose k·L(s) exceeds `protocol.MAX_SIMULATED_BITS` is refused,
     with ValueError, before its layout is built.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
-    length = corner_message_length(p, s)
+    corner = corner_point(p, s)
+    length = corner.msg_len
     _check_simulation_budget(p.k, length, f"corner {s} needs")
 
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)
         for _ in range(trials if theta == 0 else trials // (p.k - 1)):
-            yield [permutation(rng, length) for _ in range(p.k)]
+            yield [sample(rng, length, length) for _ in range(p.k)]
 
-    per_db, detail = _draw_distance(p, s, range(p.k), draws, mutation)
+    per_db, detail = _draw_distance(p, corner, draws, mutation)
     return PrivacyReport(passed=max(per_db) == 0, per_db=per_db, detail=detail)
 
 
@@ -415,9 +409,9 @@ def skip_message_symmetry(plan: QueryPlan) -> QueryPlan:
     desired index apart completely.
     """
     desired = _is_desired(plan)
-    per_db = tuple(
-        tuple(eq for eq in eqs if any(map(desired, eq))) for eqs in plan.per_db
-    )
+    per_db = tuple([  # each tuple of a list: see scheme.relabel
+        tuple([eq for eq in eqs if any(map(desired, eq))]) for eqs in plan.per_db
+    ])
     return replace(plan, per_db=per_db)
 
 
@@ -450,7 +444,7 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
     for eqs in plan.per_db:
         for eq in eqs:
             if len(eq) == size and any(map(desired, eq)):
-                mixtures.append(tuple(x for x in eq if not desired(x)))
+                mixtures.append(tuple([x for x in eq if not desired(x)]))
     pinned = min(mixtures)
     per_db = []
     for eqs in plan.per_db:

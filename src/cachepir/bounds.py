@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 Rational = Fraction
 
@@ -87,17 +87,24 @@ class Params:
 
 @dataclass(frozen=True)
 class CornerPoint:
-    """One achievable corner: mix size s, its caching ratio, and its exact cost."""
+    """One achievable corner: mix size s, its caching ratio, and its exact cost.
 
-    s: int
+    A message of `msg_len` bits caches `cached` of them.  The full cache, past
+    the last corner, has s = None: one cached bit of a 1-bit message.
+    """
+
+    s: int | None
     ratio: Fraction
     msg_len: int
+    cached: int
     total_download: int
     cost: Fraction
 
     def __post_init__(self) -> None:
         if not 0 <= self.ratio <= 1:
             raise ValueError(f"corner ratio {self.ratio} outside [0, 1]")
+        if self.ratio * self.msg_len != self.cached:
+            raise ValueError("corner ratio is not cached / msg_len")
         if self.cost * self.msg_len != self.total_download:
             raise ValueError("corner cost is not total_download / msg_len")
 
@@ -133,6 +140,7 @@ def _as_ratio(r) -> Fraction:
 
 
 def _check_s(p: Params, s: int) -> None:
+    _check_int("corner index s", s)
     if not 0 <= s <= p.k - 1:
         raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
 
@@ -143,9 +151,12 @@ def _check_theta(k: int, theta: int) -> None:
         raise ValueError(f"theta={theta} outside [0, {k - 1}]")
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def corner_point(p: Params, s: int) -> CornerPoint:
     """Corner s, computed once per (p, s): the module's one cache of corner values.
+
+    The cache is typed, so s = True or 1.0 is checked, and refused, even
+    after corner 1 is cached.
 
     L(s) = C(k-2, s-1) + n·Σ_i C(k-1, s+i)·(n-1)^i and D(r_s) = n·Σ_i
     C(k, s+1+i)·(n-1)^i over i < k-s.  Each sum runs on products: the next
@@ -168,6 +179,7 @@ def corner_point(p: Params, s: int) -> CornerPoint:
         s=s,
         ratio=Fraction(cached, length),
         msg_len=length,
+        cached=cached,
         total_download=total,
         cost=Fraction(total, length),
     )
@@ -203,7 +215,7 @@ def _enclosing_corner(
 ) -> tuple[CornerPoint, CornerPoint, Fraction]:
     """Corners low and high enclosing r, and alpha: r = alpha·r_low + (1 - alpha)·r_high.
 
-    Past the last corner, high is the full cache: ratio 1, a 1-bit message, cost 0.
+    Past the last corner, high is the full cache: the one place it is built.
     The corner ratios strictly increase, so a bisection reads about log2(k) of them.
     """
     s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
@@ -211,7 +223,10 @@ def _enclosing_corner(
     if s + 1 < p.k:
         high = corner_point(p, s + 1)
     else:
-        high = CornerPoint(p.k, Fraction(1), 1, 0, Fraction(0))  # the full cache
+        high = CornerPoint(
+            s=None, ratio=Fraction(1), msg_len=1, cached=1, total_download=0,
+            cost=Fraction(0),
+        )
     return low, high, (high.ratio - r) / (high.ratio - low.ratio)
 
 

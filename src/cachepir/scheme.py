@@ -9,10 +9,10 @@ per database, one fresh undesired sum per (s+1)-subset of the undesired
 messages.  Every later round reuses, verbatim, each undesired sum the
 *other* databases produced in the previous round, topped with a fresh
 desired bit, and re-symmetrizes with fresh undesired sums.  In the layout,
-each message's first binom(k-2, s-1) bits are its cached ones, in mixture
-order, and the rest its uncached ones, in consumption order; a plan renames
-them by a uniform permutation per message (`relabel`) and finally shuffles
-each database's query list.
+each message's first bits, as many as the corner's `cached` count, are its
+cached ones, in mixture order, and the rest its uncached ones, in
+consumption order; a plan renames them by a uniform permutation per
+message (`relabel`) and finally shuffles each database's query list.
 
 An equation is held in one canonical form everywhere: a tuple of int bit
 references x = m·length + j, bit j of message m, where `length` is the
@@ -31,13 +31,16 @@ every collection.
 
 Every rational caching ratio is served by memory-sharing: the message is
 split into blocks, each a relabeled copy of one of the two corner layouts
-enclosing the ratio (past the last corner, blocks are single fully-cached
-bits that need no queries at all).  A corner ratio is the one-block case of
-the same split, so one path builds every plan: `draw_plan` draws all its
-randomness without the desired index, and `compose_plans` assembles the
-plan for one desired index from that draw, a whole corner at a time: the
-blocks of a corner differ only in the bits they are dealt, so each layout
-equation becomes all its copies in one pass over per-bit columns.  So each
+enclosing the ratio.  A split is those two corners, as `bounds` states them
+(`CornerPoint`: length, cached count, downloads), each with its number of
+blocks; past the last corner, the high one is the full cache, whose blocks
+are single cached bits that need no queries at all.  A corner ratio is the
+one-block case of the same split, so one path builds every plan:
+`draw_plan` draws all its randomness without the desired index, and
+`compose_plans` assembles the plan for one desired index from that draw, a
+whole corner at a time: the blocks of a corner differ only in the bits
+they are dealt, so each layout equation becomes all its copies in one pass
+over per-bit columns.  So each
 database's view, its layouts renamed within each message and then
 shuffled, is drawn the same whichever message is wanted, by the shape of
 the interface.
@@ -55,6 +58,7 @@ from math import lcm
 from operator import add, itemgetter
 
 from .bounds import (
+    CornerPoint,
     Params,
     _as_ratio,
     _check_int,
@@ -62,8 +66,7 @@ from .bounds import (
     _check_theta,
     _enclosing_corner,
     binom,
-    corner_download_total,
-    corner_message_length,
+    corner_point,
     corner_ratio,
 )
 from .rng import derive_rng, shuffle
@@ -173,7 +176,7 @@ class QueryPlan:
     """Per-database GF(2) query lists plus the metadata needed to audit them.
 
     `blocks` records the memory-sharing layout as (corner index, block count)
-    pairs; a corner index of None marks fully-cached filler blocks that
+    pairs; a corner index of None marks the full cache's blocks, which
     contribute no queries.  The length, θ and each block's corner and count
     must be ints (a bool is not one here).  Equations are not checked here:
     the sampled audit's negative controls build two plans per draw, and
@@ -211,19 +214,19 @@ class QueryPlan:
 def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
     """Unshuffled per-database equations of corner s over its identity layout.
 
-    Message m's cached bits are 0..c-1, c = binom(k-2, s-1), consumed in
-    mixture order, and its uncached bits c..L(s)-1, consumed in order; bit j
-    of message m is the int m·L(s) + j.  A block or an audit draw is this
-    layout under `relabel`.  The returned
-    lists are in generation order (round by round, desired sums before
-    undesired ones); privacy additionally requires shuffling them.
+    Message m's cached bits are 0..c-1, c the corner's `cached` count,
+    consumed in mixture order, and its uncached bits c..L(s)-1, consumed in
+    order; bit j of message m is the int m·L(s) + j.  A block or an audit
+    draw is this layout under `relabel`.  The returned lists are in
+    generation order (round by round, desired sums before undesired ones);
+    privacy additionally requires shuffling them.
     """
-    _check_s(p, s)
+    corner = corner_point(p, s)
     _check_theta(p.k, theta)
     others = [m for m in range(p.k) if m != theta]
-    length = corner_message_length(p, s)
+    length = corner.msg_len
     cached = [count(m * length) for m in range(p.k)]
-    fresh = [count(m * length + binom(p.k - 2, s - 1)) for m in range(p.k)]
+    fresh = [count(m * length + corner.cached) for m in range(p.k)]
 
     def take(m: int) -> BitRef:
         return next(fresh[m])
@@ -275,7 +278,7 @@ def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
             fresh_round.append(eqs)
         prev_undesired = fresh_round
 
-    expected = corner_download_total(p, s) // p.n
+    expected = corner.total_download // p.n
     assert all(len(eqs) == expected for eqs in per_db)
     return per_db
 
@@ -362,80 +365,56 @@ def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:
 
     A corner ratio is the one-block memory-sharing split, so this is
     `compose_plans` of a `draw_plan` at r = r_s: the cache must hold exactly
-    binom(k-2, s-1) bits per message over messages of length L(s), and only
-    its *indices* are read.
+    the corner's `cached` count of bits per message over messages of length
+    L(s), and only its *indices* are read.
     """
     split = split_for_ratio(p, corner_ratio(p, s))
     return compose_plans(p, theta, draw_plan(p, split, cache, seed))
 
 
-def _block_geometry(p: Params, s: int | None) -> tuple[int, int]:
-    """(length, cached bits per message) of one block; None is fully-cached filler."""
-    if s is None:
-        return 1, 1
-    return corner_message_length(p, s), binom(p.k - 2, s - 1)
-
-
 @dataclass(frozen=True)
 class SplitSpec:
-    """Memory-sharing split between the two corners enclosing a caching ratio.
+    """Memory-sharing split of a message between the corners enclosing a ratio.
 
-    `low_blocks` sub-messages run corner s and `high_blocks` run the next
-    corner up (the 1-bit fully-cached filler when s is already the last
-    corner); `alpha` is the weight of the low corner, so
-    alpha * total_length = low_blocks * L(s) exactly.
+    Each part is one of the two enclosing corners, low corner first, with the
+    number of its blocks: sub-messages of the corner's `msg_len` bits, each
+    caching the corner's `cached` of them.  A part with no blocks is left
+    out.  The high corner past the last one is the full cache, whose 1-bit
+    blocks download nothing.
     """
 
-    k: int
-    n: int
-    s: int
-    alpha: Fraction
     total_length: int
-    low_blocks: int
-    high_blocks: int
-
-    @property
-    def high_corner(self) -> int | None:
-        return self.s + 1 if self.s + 1 <= self.k - 1 else None
+    parts: tuple[tuple[CornerPoint, int], ...]
 
     @property
     def blocks(self) -> tuple[tuple[int | None, int], ...]:
-        """Non-empty (corner, block count) pairs, low corner first; None is filler."""
-        return tuple(
-            (corner, size)
-            for corner, size in (
-                (self.s, self.low_blocks),
-                (self.high_corner, self.high_blocks),
-            )
-            if size
-        )
+        """(corner index, block count) per part, as a plan records them; None
+        is the full cache."""
+        return tuple((corner.s, size) for corner, size in self.parts)
 
     @property
     def cached_per_message(self) -> int:
-        p = Params(self.k, self.n)
-        return sum(size * _block_geometry(p, corner)[1] for corner, size in self.blocks)
+        return sum(size * corner.cached for corner, size in self.parts)
 
 
 def split_for_ratio(p: Params, r) -> SplitSpec:
     """Split r between its enclosing corners and solve the divisibility constraints.
 
-    The corners and alpha come from the outer bound's bisection.  Returns the
-    smallest total message length for which both block counts are integers.
-    The same formula covers the end points: a ratio hitting a corner gets
-    alpha = 1 and one block of that corner, and r = 1 gets alpha = 0 and one
-    1-bit filler block.
+    The corners and alpha, the low corner's weight, come from the outer
+    bound's bisection.  Returns the smallest total message length for which
+    both block counts, alpha·total / L_low and (1 - alpha)·total / L_high,
+    are integers.  The same formula covers the end points: a ratio hitting
+    a corner gets alpha = 1 and one block of that corner, and r = 1 gets
+    alpha = 0 and one block of the full cache.
     """
     low, high, alpha = _enclosing_corner(p, _as_ratio(r))
-    low_len, high_len = low.msg_len, high.msg_len
-    total = lcm((alpha / low_len).denominator, ((1 - alpha) / high_len).denominator)
+    shares = ((low, alpha), (high, 1 - alpha))
+    total = lcm(*[(share / corner.msg_len).denominator for corner, share in shares])
     return SplitSpec(
-        k=p.k,
-        n=p.n,
-        s=low.s,
-        alpha=alpha,
         total_length=total,
-        low_blocks=int(alpha * total / low_len),
-        high_blocks=int((1 - alpha) * total / high_len),
+        parts=tuple(
+            (corner, int(share * total / corner.msg_len)) for corner, share in shares if share
+        ),
     )
 
 
@@ -483,11 +462,7 @@ def draw_plan(p: Params, split: SplitSpec, cache, seed) -> PlanDraw:
         shuffle(derive_rng(seed, "deal-fresh", m), rest)
         dealt.append(tuple(held + rest))
 
-    rows = sum(
-        size * corner_download_total(p, corner) // p.n
-        for corner, size in split.blocks
-        if corner is not None
-    )
+    rows = sum(size * corner.total_download for corner, size in split.parts) // p.n
     order = []
     for db in range(p.n):
         # Shuffled as a list, whose items are read without boxing, then held
@@ -508,8 +483,8 @@ def compose_plans(p: Params, theta: int, drawn: PlanDraw) -> QueryPlan:
     equation reads is named m·L + j once, in its column, and each layout
     equation becomes all its relabeled copies in one `zip` over its bits'
     columns; the copies go back in block order, so the plan equals
-    `relabel` applied block by block.  Bits no equation reads (the filler
-    blocks' cached bits, which come last, and the uncached undesired bits a
+    `relabel` applied block by block.  Bits no equation reads (the full
+    cache's blocks, which come last, and the uncached undesired bits a
     last-corner block never downloads) are never named.  Each database's
     list ships in the drawn order.  A ratio hitting a corner is the
     one-block case, and r = 1 returns an empty plan.
@@ -521,12 +496,12 @@ def compose_plans(p: Params, theta: int, drawn: PlanDraw) -> QueryPlan:
 
     built: list[list[Equation]] = [[] for _ in range(p.n)]
     held, fresh = 0, cached  # where the corner's blocks start in each dealt order
-    for corner, size in split.blocks:
-        if corner is None:
-            break  # fully-cached filler comes last and downloads nothing
-        length, quota = _block_geometry(p, corner)
+    for corner, size in split.parts:
+        if corner.s is None:
+            break  # the full cache comes last and downloads nothing
+        length, quota = corner.msg_len, corner.cached
         rest = length - quota
-        layout = corner_equations(p, corner, theta)
+        layout = corner_equations(p, corner.s, theta)
         # Layout bit x, bit j of message m, named in every block: one strided
         # slice of m's cached run when j < quota, else of its uncached run.
         columns = [None] * (p.k * length)

@@ -25,6 +25,7 @@ from cachepir import (
     known_prefetch_cost,
     matching_region,
     outer_bound,
+    retrieve,
     worst_case_gap,
 )
 
@@ -152,6 +153,20 @@ def test_corner_s_range_errors():
             fn(p, -1)
         with pytest.raises(ValueError):
             fn(p, 4)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_corner_index_must_be_an_int(warm):
+    # True and 1.0 hash as 1: an untyped cache took them for corner 1, or
+    # cached a corner whose s is a bool, which retrieve then refused.
+    p = Params(3, 2)
+    corner_point.cache_clear()
+    if warm:
+        corner_point(p, 1)
+    for s in (True, 1.0):
+        with pytest.raises(ValueError, match="corner index s must be an int"):
+            corner_ratio(p, s)
+    assert retrieve(p, 0, F(1, 7), 1).plan.blocks == ((1, 1),)
 
 
 def test_no_cache_corner_is_classic_cost():

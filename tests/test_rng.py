@@ -9,7 +9,7 @@ import pytest
 from cachepir import Params, retrieve
 from cachepir.audit import montecarlo_privacy
 from cachepir.cli import transcript_to_dict
-from cachepir.rng import derive_rng, permutation, sample, shuffle
+from cachepir.rng import derive_rng, sample, shuffle
 
 SIZES = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 40, 1000]
 STREAMS = range(20)
@@ -19,12 +19,17 @@ def twins(stream):
     return derive_rng(11, "kernel", stream), derive_rng(11, "kernel", stream)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_permutation_is_sample_bit_for_bit(n):
+def assert_sample_is_twin(n, c):
     for stream in STREAMS:
         rng, twin = twins(stream)
-        assert permutation(rng, n) == twin.sample(range(n), n)
+        assert sample(rng, n, c) == twin.sample(range(n), c), (n, c)
         assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_permutation_is_sample_bit_for_bit(n):
+    # all n picks: a uniform permutation, as the sampled audit draws one
+    assert_sample_is_twin(n, n)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -47,10 +52,7 @@ SAMPLE_SIZES = [0, 1, 5, 6, 21, 22, 85, 86, 1000]
 @pytest.mark.parametrize("n", SAMPLE_SIZES)
 def test_sample_is_random_sample_bit_for_bit(n):
     for c in sorted({0, 1, 5, 6, n} & set(range(n + 1))):
-        for stream in STREAMS:
-            rng, twin = twins(stream)
-            assert sample(rng, n, c) == twin.sample(range(n), c), (n, c)
-            assert rng.getstate() == twin.getstate()
+        assert_sample_is_twin(n, c)
 
 
 def as_pairs(per_db, length):

@@ -23,6 +23,7 @@ from cachepir import (
     corner_download_total,
     corner_equations,
     corner_message_length,
+    corner_point,
     corner_ratio,
     draw_plan,
     first_non_canonical,
@@ -270,31 +271,45 @@ def test_build_corner_plan_contract_errors():
 # memory-sharing
 
 
+def bits_per_part(split):
+    """How many of the message's bits each part's blocks hold: alpha·total, then the rest."""
+    return [size * corner.msg_len for corner, size in split.parts]
+
+
 def test_split_golden_one_fifth():
-    split = split_for_ratio(Params(3, 2), F(1, 5))
-    assert (split.s, split.alpha, split.total_length) == (1, F(7, 10), 10)
-    assert (split.low_blocks, split.high_blocks) == (1, 1)
+    # alpha = 7/10 of 10 bits run corner 1 (L = 7), the rest corner 2 (L = 3)
+    p = Params(3, 2)
+    split = split_for_ratio(p, F(1, 5))
+    assert split.total_length == 10
+    assert split.parts == ((corner_point(p, 1), 1), (corner_point(p, 2), 1))
+    assert bits_per_part(split) == [7, 3]
 
 
 def test_split_corner_hit_degenerates():
-    split = split_for_ratio(Params(3, 2), F(1, 7))
-    assert (split.s, split.alpha, split.total_length) == (1, F(1), 7)
-    assert (split.low_blocks, split.high_blocks) == (1, 0)
+    # alpha = 1: the high corner gets no block, so it is no part
+    p = Params(3, 2)
+    split = split_for_ratio(p, F(1, 7))
+    assert split.total_length == 7
+    assert split.parts == ((corner_point(p, 1), 1),)
+    assert split.blocks == ((1, 1),)
 
 
 def test_split_golden_one_tenth():
     # alpha/L(1) = 1/20 and (1-alpha)/L(2) = 1/40, so 40 is the smallest
     # length making both block counts integral
-    split = split_for_ratio(Params(4, 2), F(1, 10))
-    assert split.s == 1
-    assert split.alpha == F(3, 4)
+    p = Params(4, 2)
+    split = split_for_ratio(p, F(1, 10))
     assert split.total_length == 40
-    assert (split.low_blocks, split.high_blocks) == (2, 1)
+    assert split.parts == ((corner_point(p, 1), 2), (corner_point(p, 2), 1))
+    assert bits_per_part(split) == [30, 10]  # alpha = 3/4
 
 
 def test_split_full_cache():
     split = split_for_ratio(Params(3, 2), 1)
     assert split.total_length == 1
+    ((corner, size),) = split.parts
+    assert (corner.s, corner.msg_len, corner.cached, corner.total_download) == (None, 1, 1, 0)
+    assert size == 1
     assert split.cached_per_message == 1
     assert split.blocks == ((None, 1),)
 
@@ -308,19 +323,17 @@ def test_split_full_cache():
 def test_split_invariants(k, n, r):
     p = Params(k, n)
     split = split_for_ratio(p, r)
-    low_len = corner_message_length(p, split.s)
-    high = split.high_corner
-    high_len = corner_message_length(p, high) if high is not None else 1
-    high_ratio = corner_ratio(p, high) if high is not None else F(1)
-    assert split.alpha * split.total_length == split.low_blocks * low_len
-    assert (1 - split.alpha) * split.total_length == split.high_blocks * high_len
-    assert r == split.alpha * corner_ratio(p, split.s) + (1 - split.alpha) * high_ratio
-    assert split.cached_per_message == r * split.total_length
-    assert split.blocks == tuple(
-        (corner, size)
-        for corner, size in ((split.s, split.low_blocks), (high, split.high_blocks))
-        if size
-    )
+    low, high, alpha = bounds._enclosing_corner(p, r)
+    weights = {low: alpha, high: 1 - alpha}
+    # the parts are the enclosing corners with a share of the message, low first
+    assert [corner for corner, _ in split.parts] == [c for c, w in weights.items() if w]
+    for corner, size in split.parts:
+        assert size > 0
+        assert size * corner.msg_len == weights[corner] * split.total_length
+    assert sum(bits_per_part(split)) == split.total_length
+    cached = sum(size * corner.cached for corner, size in split.parts)
+    assert cached == split.cached_per_message == r * split.total_length
+    assert split.blocks == tuple((corner.s, size) for corner, size in split.parts)
 
 
 def run_composed(k, n, r, theta=0, seed=0):
@@ -402,13 +415,16 @@ def test_split_finds_corner_by_bisection(k, monkeypatch):
         for r in (ratios[s], (ratios[s] + ratios[s + 1]) / 2, ratios[s + 1]):
             low = max(i for i in range(k) if ratios[i] <= r)
             alpha = (ratios[low + 1] - r) / (ratios[low + 1] - ratios[low])
+            shares = ((low, alpha), (low + 1, 1 - alpha))
             for locate, expected in (
-                (split_for_ratio, low),
+                (split_for_ratio, [ratios[i] for i, share in shares if share]),
                 (outer_bound, alpha * costs[low] + (1 - alpha) * costs[low + 1]),
             ):
                 calls.clear()
                 found = locate(p, r)
-                assert (found.s if locate is split_for_ratio else found) == expected
+                if locate is split_for_ratio:
+                    found = [corner.ratio for corner, _ in found.parts]
+                assert found == expected
                 assert 0 < len(set(calls)) <= k.bit_length(), (locate.__name__, s, r)
 
 
@@ -548,9 +564,9 @@ def test_equations_are_sorted_tuples(k, n, r):
         with pytest.raises(ValueError, match="not canonical"):
             transcript_from_dict(data)
 
-    s = split_for_ratio(p, r).s
-    layout = corner_equations(p, s, 0)
-    length = corner_message_length(p, s)
+    corner = split_for_ratio(p, r).parts[0][0]
+    layout = corner_equations(p, corner.s, 0)
+    length = corner.msg_len
     perms = [list(reversed(range(length))) for _ in range(k)]
     assert_canonical(layout, k, length)
     rename = relabel(layout)
