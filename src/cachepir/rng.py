@@ -58,10 +58,11 @@ def sample(rng: random.Random, n: int, c: int) -> list[int]:
     `sample` keeps a pool when an n-item list is no larger than a c-item
     set (21 slots, plus a 4**ceil(log(3c, 4)) table when c > 5), which
     always holds at c = n, so a permutation skips the rule; otherwise it
-    draws below n and redraws picks it already holds.  From the pool, `sample` moves its i-th pick out and the
-    pool's last item into the gap; parking the pick at the end instead
-    leaves the picks in reverse order at the top.  Like `sample`, it draws
-    below 1 for the last of n picks, which consumes a word.
+    draws below n and redraws picks it already holds.  From the pool,
+    `sample` moves its i-th pick out and the pool's last item into the gap;
+    parking the pick at the end instead leaves the picks in reverse order
+    at the top.  Like `sample`, it draws below 1 for the last of n picks,
+    which consumes a word.
     """
     if c == n or n <= 21 + (4 ** ceil(log(c * 3, 4)) if c > 5 else 0):
         pool = list(range(n))

@@ -40,10 +40,9 @@ one-block case of the same split, so one path builds every plan:
 `compose_plans` assembles the plan for one desired index from that draw, a
 whole corner at a time: the blocks of a corner differ only in the bits
 they are dealt, so each layout equation becomes all its copies in one pass
-over per-bit columns.  So each
-database's view, its layouts renamed within each message and then
-shuffled, is drawn the same whichever message is wanted, by the shape of
-the interface.
+over per-bit columns.  So each database's view, its layouts renamed within
+each message and then shuffled, is drawn the same whichever message is
+wanted, by the shape of the interface.
 `build_corner_plan` is a name for the path at r = r_s.
 """
 
@@ -413,7 +412,9 @@ def split_for_ratio(p: Params, r) -> SplitSpec:
     return SplitSpec(
         total_length=total,
         parts=tuple(
-            (corner, int(share * total / corner.msg_len)) for corner, share in shares if share
+            (corner, int(share * total / corner.msg_len))
+            for corner, share in shares
+            if share
         ),
     )
 

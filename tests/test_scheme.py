@@ -272,7 +272,7 @@ def test_build_corner_plan_contract_errors():
 
 
 def bits_per_part(split):
-    """How many of the message's bits each part's blocks hold: alpha·total, then the rest."""
+    """The message's bits each part's blocks hold: alpha·total, then the rest."""
     return [size * corner.msg_len for corner, size in split.parts]
 
 
@@ -308,8 +308,9 @@ def test_split_full_cache():
     split = split_for_ratio(Params(3, 2), 1)
     assert split.total_length == 1
     ((corner, size),) = split.parts
-    assert (corner.s, corner.msg_len, corner.cached, corner.total_download) == (None, 1, 1, 0)
-    assert size == 1
+    assert (corner.s, corner.msg_len, corner.cached, corner.total_download, size) == (
+        None, 1, 1, 0, 1
+    )
     assert split.cached_per_message == 1
     assert split.blocks == ((None, 1),)
 
