@@ -17,6 +17,13 @@ Everything here is computed with arbitrary-precision rationals
 All operations are pure functions of their arguments.  `corner_point` caches
 each corner once; a point query of the outer bound bisects for the two corners
 enclosing r (`_enclosing_corner`, shared with `scheme.split_for_ratio`).
+
+Each int argument's rule is written once and called from every entry point,
+refusing with a ValueError that names the argument: `_check_int` (an int, not
+a bool), `_check_range` (an int in a range, built on it), `Params` (k >= 2),
+`_check_n` (n >= 2, also for the functions of n alone), `_check_s`
+(0 <= s <= k - 1, or 1 <= s <= k - 1 for `collinearity_check` and the inner
+corner index i) and `_check_theta` (0 <= theta < k).
 """
 
 from __future__ import annotations
@@ -62,8 +69,8 @@ def binom(n: int, k: int) -> int:
     The out-of-range convention matters: the s = 0 corner evaluates C(K-2, -1)
     and must come out 0 so that the empty-cache ratio is exactly 0.
     """
-    if n < 0:
-        raise ValueError(f"binom requires n >= 0, got n={n}")
+    _check_range("n", n, 0)
+    _check_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -77,12 +84,8 @@ class Params:
     n: int
 
     def __post_init__(self) -> None:
-        _check_int("k", self.k)
-        _check_int("n", self.n)
-        if self.k < 2:
-            raise ValueError(f"need at least 2 messages, got k={self.k}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 databases, got n={self.n}")
+        _check_range("k", self.k, 2)
+        _check_n(self.n)
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,22 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _check_range(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse, with ValueError naming `name`, a value that is not an int in
+    [low, high]; with no high, an int below low."""
+    _check_int(name, value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name}={value} outside [{low}, {high}]")
+
+
+def _check_n(n) -> None:
+    """At least 2 databases: the rule of `Params` and of every function of n alone."""
+    _check_range("n", n, 2)
+
+
 def _as_ratio(r) -> Fraction:
     r = Fraction(r)
     if not 0 <= r <= 1:
@@ -139,16 +158,13 @@ def _as_ratio(r) -> Fraction:
     return r
 
 
-def _check_s(p: Params, s: int) -> None:
-    _check_int("corner index s", s)
-    if not 0 <= s <= p.k - 1:
-        raise ValueError(f"corner index s={s} outside [0, {p.k - 1}]")
+def _check_s(p: Params, s: int, low: int = 0, name: str = "corner index s") -> None:
+    """A corner index in [low, k - 1]; low = 1 where a corner below is read."""
+    _check_range(name, s, low, p.k - 1)
 
 
 def _check_theta(k: int, theta: int) -> None:
-    _check_int("theta", theta)
-    if not 0 <= theta < k:
-        raise ValueError(f"theta={theta} outside [0, {k - 1}]")
+    _check_range("theta", theta, 0, k - 1)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -216,9 +232,13 @@ def _enclosing_corner(
     """Corners low and high enclosing r, and alpha: r = alpha·r_low + (1 - alpha)·r_high.
 
     Past the last corner, high is the full cache: the one place it is built.
-    The corner ratios strictly increase, so a bisection reads about log2(k) of them.
+    The corner ratios strictly increase, so a bisection reads about log2(k) of
+    them; from r_{k-1} = 1/(1 + n) on, low is corner k - 1 and none is read.
     """
-    s = bisect_right(range(p.k), r, key=partial(corner_ratio, p)) - 1
+    if r >= Fraction(1, 1 + p.n):
+        s = p.k - 1
+    else:
+        s = bisect_right(range(p.k - 1), r, key=partial(corner_ratio, p)) - 1
     low = corner_point(p, s)
     if s + 1 < p.k:
         high = corner_point(p, s + 1)
@@ -238,8 +258,7 @@ def outer_bound(p: Params, r) -> Fraction:
 
 def inner_corner(p: Params, i: int) -> Fraction:
     """Ratio where the converse bound changes slope: 1 / (1 + n + ... + n^(k-i))."""
-    if not 1 <= i <= p.k - 1:
-        raise ValueError(f"inner corner index i={i} outside [1, {p.k - 1}]")
+    _check_s(p, i, 1, "inner corner index i")
     return Fraction(1, sum(p.n**j for j in range(p.k - i + 1)))
 
 
@@ -297,8 +316,7 @@ def exact_tradeoff_k3(n: int, r) -> Fraction:
     slope, between there and 1/(1+n) the two-database-sum segment, and 1-r
     beyond.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 databases, got n={n}")
+    _check_n(n)
     r = _as_ratio(r)
     if r <= Fraction(1, 1 + n + n * n):
         return (1 - r) * (1 + Fraction(1, n) + Fraction(1, n * n)) - r * (
@@ -328,8 +346,7 @@ def collinearity_check(p: Params, s: int) -> bool:
     corners s-1 and s, and that its cost is the k-message outer bound there:
     memory-sharing between exactly those two corners.
     """
-    if not 1 <= s <= p.k - 1:
-        raise ValueError(f"corner index s={s} outside [1, {p.k - 1}]")
+    _check_s(p, s, 1)
     up = Params(p.k + 1, p.n)
     r_new = corner_ratio(up, s)
     if not corner_ratio(p, s - 1) <= r_new <= corner_ratio(p, s):
@@ -339,16 +356,14 @@ def collinearity_check(p: Params, s: int) -> bool:
 
 def asymptotic_outer(n: int, r) -> Fraction:
     """Large-K limit of the outer bound: n(1-r)^2 / ((n-1) + r)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 databases, got n={n}")
+    _check_n(n)
     r = _as_ratio(r)
     return n * (1 - r) ** 2 / (n - 1 + r)
 
 
 def asymptotic_gain(n: int, r) -> Fraction:
     """Large-K multiplicative gain of unawareness over memory-sharing; always <= 1."""
-    if n < 2:
-        raise ValueError(f"need at least 2 databases, got n={n}")
+    _check_n(n)
     r = _as_ratio(r)
     return (1 - r) / (1 + Fraction(r, n - 1))
 
@@ -364,10 +379,8 @@ def worst_case_gap(n: int, k_proxy: int = 100) -> tuple[Fraction, Fraction]:
 
     Returns (maximizing ratio, maximal gap).
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 databases, got n={n}")
-    if k_proxy < 10:
-        raise ValueError(f"k_proxy must be at least 10, got {k_proxy}")
+    _check_n(n)
+    _check_range("k_proxy", k_proxy, 10)
     p = Params(k_proxy, n)
     best_r = best_d = None
     for i in range(1, k_proxy):

@@ -406,8 +406,6 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    if args.kmax < 2:
-        raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
     p = Params(args.kmax, args.n)
     widest = Params(max(p.k, 10), p.n) if args.asymptotic else p  # worst_case_gap's k
     _check_work(widest, p.k + widest.k if args.asymptotic else p.k)

@@ -16,7 +16,8 @@ transcript's fields together (the plan against its ratio's split, the cache
 and the answers against the store, the decoded message against message θ),
 which the transcript loader in `cli` applies to every file it reads.
 `_check_simulation_budget` states the one limit on simulated message bits,
-for `retrieve`, the loader and `audit.montecarlo_privacy`.
+for `retrieve`, the loader and `audit.montecarlo_privacy`; `_budgeted_split`
+applies it to a ratio's split, from (k, n) alone first where it can.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import Params, _check_theta
+from .bounds import Params, _as_ratio, _check_range, _check_theta
 from .rng import derive_rng, sample
 from .scheme import (
     ContractViolation,
     Equation,
     PlanDraw,
     QueryPlan,
+    SplitSpec,
     compose_plans,
     draw_plan,
     first_non_canonical,
@@ -99,8 +101,8 @@ def pack_bits(bits) -> int:
 
 def random_store(k: int, length: int, seed) -> MessageStore:
     """Uniform random content; each message drawn from its own derived stream."""
-    if length < 1:
-        raise ValueError(f"message length must be positive, got {length}")
+    _check_range("k", k, 1)
+    _check_range("length", length, 1)
     return MessageStore(
         count=k,
         length=length,
@@ -149,10 +151,7 @@ def prefetch(store: MessageStore, bits_per_message: int, seed) -> CacheState:
     Index choice is independent of message content and of any later desired
     index; only the seed and the message length matter.
     """
-    if not 0 <= bits_per_message <= store.length:
-        raise ValueError(
-            f"cannot cache {bits_per_message} of {store.length} bits per message"
-        )
+    _check_range("bits_per_message", bits_per_message, 0, store.length)
     indices = []
     values = []
     for m in range(store.count):
@@ -352,7 +351,8 @@ def check_transcript(t: Transcript) -> None:
 
     The one statement of those rules: the store and the cache hold k
     messages of the plan's length; the plan's length and blocks are the ones
-    `split_for_ratio` gives its k, n and r; the cache holds the split's
+    `split_for_ratio` gives its k, n and r, a split over the simulation
+    budget refused first (see `_budgeted_split`); the cache holds the split's
     number of bits of each of the k messages, each equal to the stored
     message's bit at that index; each database's answers are the GF(2) sums
     `answer` computes over the store (which refuses, with ContractViolation,
@@ -366,7 +366,7 @@ def check_transcript(t: Transcript) -> None:
             f"transcript store holds {store.count} messages of {store.length} bits "
             f"and its cache messages of {cache.length}, the plan {plan.k} of {plan.length}"
         )
-    split = split_for_ratio(t.params, plan.r)
+    split = _budgeted_split(t.params, plan.r)
     for key, recorded, derived in (
         ("length", plan.length, split.total_length),
         ("blocks", plan.blocks, split.blocks),
@@ -407,14 +407,29 @@ def _check_simulation_budget(k: int, length: int, what: str) -> None:
         )
 
 
+def _budgeted_split(p: Params, r) -> SplitSpec:
+    """`split_for_ratio(p, r)`, refused with ValueError over the simulation budget.
+
+    Below r_{k-1} = 1/(1 + n) it is refused before any corner is computed
+    (about k² work each): its low corner s <= k - 2 has a share alpha > 0, so
+    it is at least L(s)/alpha >= L(k - 2) = (k - 2) + n(k + n - 2) bits long.
+    """
+    r = _as_ratio(r)
+    what = "the ratio's split needs"
+    if r < Fraction(1, 1 + p.n):
+        _check_simulation_budget(p.k, p.k - 2 + p.n * (p.k + p.n - 2), what)
+    split = split_for_ratio(p, r)
+    _check_simulation_budget(p.k, split.total_length, what)
+    return split
+
+
 def _draw(p: Params, r, seed) -> tuple[MessageStore, CacheState, PlanDraw]:
     """The store, the cache and the plan draw of `retrieve` at ratio r: all but θ.
 
     The ratio is refused, with ValueError, before anything is allocated when
     its split is over the simulation budget.
     """
-    split = split_for_ratio(p, r)
-    _check_simulation_budget(p.k, split.total_length, "the ratio's split needs")
+    split = _budgeted_split(p, r)
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)
     return store, cache, draw_plan(p, split, cache, seed)

@@ -1,5 +1,6 @@
 """Golden values and invariants for the exact bounds module."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from cachepir import (
     matching_region,
     outer_bound,
     retrieve,
+    split_for_ratio,
     worst_case_gap,
 )
 
@@ -448,3 +450,49 @@ def test_asymptotic_tightness_large_k():
             p = Params(500, n)
             diff = abs(corner_cost(p, s) - asymptotic_outer(n, corner_ratio(p, s)))
             assert diff < F(1, 1000)
+
+
+def test_last_corners_in_closed_form():
+    # What the large-k shortcuts rest on: r_{k-1} = 1/(1 + n); L(s) strictly
+    # decreases in s, with L(k-2) = (k-2) + n(k+n-2); so no split below
+    # r_{k-1} is shorter than L(k-2).
+    rng = random.Random(26)
+    for k in range(2, 41):
+        for n in range(2, 7):
+            p = Params(k, n)
+            lengths = [corner_message_length(p, s) for s in range(k)]
+            assert corner_ratio(p, k - 1) == F(1, 1 + n)
+            assert all(a > b for a, b in zip(lengths, lengths[1:]))
+            assert lengths[k - 2] == k - 2 + n * (k + n - 2)
+            ratios = [corner_ratio(p, s) for s in range(k)]
+            below = ratios[:-1] + [(a + b) / 2 for a, b in zip(ratios, ratios[1:])]
+            below += [F(rng.randrange(1, 10**6), 10**6 * (1 + n)) for _ in range(4)]
+            for r in below:
+                assert split_for_ratio(p, r).total_length >= lengths[k - 2]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_inner_bound_is_asymptote_minus_worst_gap(n):
+    # At the asymptotic worst case the converse does not depend on k.
+    r_star, delta = worst_case_gap(n)
+    for k in (4, 5, 10, 40, 300):
+        assert inner_bound(Params(k, n), r_star) == asymptotic_outer(n, r_star) - delta
+
+
+def test_finite_k_gap_approaches_one_sixth_from_below():
+    # gap_k(1/15) = 1/6 - (asymptotic_outer - outer_bound)(1/15) at n = 2,
+    # and the outer bound rises to its asymptote at about 1.2/k.
+    assert worst_case_gap(2) == (F(1, 15), F(1, 6))
+    for k in (200, 1000, 2000):
+        deficit = F(1, 6) - gap(Params(k, 2), F(1, 15))
+        assert 0 < deficit < F(2, k)
+
+
+def test_outer_bound_has_k_segments():
+    # Every interior corner, with the full cache (1, 0) appended, lies strictly
+    # below the chord of its neighbours: k linear pieces, none merged.
+    for k in range(2, 41):
+        for n in range(2, 7):
+            pts = [(c.ratio, c.cost) for c in corner_points(Params(k, n))] + [(F(1), F(0))]
+            for (r0, c0), (r1, c1), (r2, c2) in zip(pts, pts[1:], pts[2:]):
+                assert c1 < c0 + (c2 - c0) * (r1 - r0) / (r2 - r0)

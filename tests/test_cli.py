@@ -20,7 +20,7 @@ from cachepir import (
     retrieve,
     verify_cost,
 )
-from cachepir import cli, protocol
+from cachepir import bounds, cli, protocol
 from cachepir.cli import (
     CURVE_HEADER,
     decimal_str,
@@ -624,6 +624,60 @@ def test_astronomical_n_refused_before_output(argv, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "error: n of" in err and "get_int_max_str_digits" in err
+
+
+def no_corner_arithmetic(*_):
+    raise AssertionError("corner arithmetic started")
+
+
+def test_large_k_ratio_refused_before_corner_arithmetic(monkeypatch, capsys):
+    # below r_{k-1} = 1/(1 + n) every split is at least L(k-2) bits long,
+    # so k·L(k-2) is refused from (k, n) alone
+    monkeypatch.setattr(bounds, "corner_point", no_corner_arithmetic)
+    code, out, err = run(
+        ["simulate", "--k", "30000", "--n", "2", "--r", "1/100", "--theta", "0",
+         "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "simulation budget" in err
+
+
+def test_large_k_corner_refused_computing_only_that_corner(monkeypatch, capsys):
+    computed = set()
+    real = bounds.corner_point
+    monkeypatch.setattr(bounds, "corner_point", lambda p, s: computed.add(s) or real(p, s))
+    code, out, err = run(
+        ["simulate", "--k", "30000", "--n", "2", "--s", "1", "--theta", "0",
+         "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "simulation budget" in err
+    assert computed == {1}
+
+
+def test_transcript_claiming_large_k_refused_before_corner_arithmetic(monkeypatch):
+    # a small file that claims k = 30 000 messages of 7 bits is within the
+    # budget as recorded, but its ratio's split is not
+    data = file_dict(retrieve(Params(3, 2), 0, F(1, 7), 1))
+    k = 30_000
+    data["k"] = k
+    data["messages"] += data["messages"][:1] * (k - 3)
+    data["cache"]["indices"] += data["cache"]["indices"][:1] * (k - 3)
+    data["cache"]["values"] += data["cache"]["values"][:1] * (k - 3)
+    monkeypatch.setattr(bounds, "corner_point", no_corner_arithmetic)
+    with pytest.raises(ValueError, match="simulation budget"):
+        transcript_from_dict(data)
+
+
+def test_gap_kmax_below_2_exits_2(capsys):
+    # refused by Params, as any k below 2
+    code, out, err = run(["gap", "--n", "2", "--kmax", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "k must be at least 2" in err
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

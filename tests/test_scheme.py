@@ -429,6 +429,20 @@ def test_split_finds_corner_by_bisection(k, monkeypatch):
                 assert 0 < len(set(calls)) <= k.bit_length(), (locate.__name__, s, r)
 
 
+@pytest.mark.parametrize(
+    "r,blocks,length",
+    [(F(1, 3), ((49_999, 1),), 3), (F(1, 2), ((49_999, 1), (None, 1)), 4),
+     (F(1), ((None, 1),), 1)],
+)
+def test_split_past_last_corner_computes_one_corner(r, blocks, length):
+    # From r_{k-1} = 1/(1 + n) on, the split is the last corner and the full
+    # cache; the bisection would compute about log2(k) corners of about k terms.
+    corner_point.cache_clear()
+    split = split_for_ratio(Params(50_000, 2), r)
+    assert corner_point.cache_info().misses == 1
+    assert (split.blocks, split.total_length) == (blocks, length)
+
+
 # ---------------------------------------------------------------------------
 # the draw reads no desired index, the assembly draws nothing
 
