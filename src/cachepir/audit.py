@@ -71,8 +71,8 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product, repeat
 from operator import floordiv, setitem
 
-from .bounds import CornerPoint, Params, corner_point, outer_bound
-from .protocol import DecodeError, Transcript, _check_simulation_budget, decode
+from .bounds import CornerPoint, Params, _check_range, corner_point, outer_bound
+from .protocol import DecodeError, Transcript, _budgeted_corner, decode
 from .rng import derive_rng, sample
 from .scheme import QueryPlan, _flatten, corner_equations, relabel, round_profile
 
@@ -371,13 +371,11 @@ def montecarlo_privacy(
     `draw_plan` draw them.  `mutation` hooks a plan transform in front of the
     certificate, which is how the negative controls are exercised.  A
     corner whose k·L(s) exceeds `protocol.MAX_SIMULATED_BITS` is refused,
-    with ValueError, before its layout is built.
+    with ValueError, by `protocol._budgeted_corner`, before its layout is built.
     """
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {trials}")
-    corner = corner_point(p, s)
+    _check_range("trials", trials, 1000)
+    corner = _budgeted_corner(p, s)
     length = corner.msg_len
-    _check_simulation_budget(p.k, length, f"corner {s} needs")
 
     def draws(theta):
         rng = derive_rng(seed, "mc", theta)

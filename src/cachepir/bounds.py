@@ -103,14 +103,6 @@ class CornerPoint:
     total_download: int
     cost: Fraction
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.ratio <= 1:
-            raise ValueError(f"corner ratio {self.ratio} outside [0, 1]")
-        if self.ratio * self.msg_len != self.cached:
-            raise ValueError("corner ratio is not cached / msg_len")
-        if self.cost * self.msg_len != self.total_download:
-            raise ValueError("corner cost is not total_download / msg_len")
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -125,8 +117,6 @@ class CurvePoint:
     def __post_init__(self) -> None:
         if self.inner > self.outer or self.outer > self.baseline:
             raise ValueError(f"bound ordering violated at r={self.r}")
-        if self.gap != self.outer - self.inner:
-            raise ValueError("gap is not outer - inner")
 
 
 def _check_int(name: str, value) -> None:
@@ -368,24 +358,22 @@ def asymptotic_gain(n: int, r) -> Fraction:
     return (1 - r) / (1 + Fraction(r, n - 1))
 
 
-def worst_case_gap(n: int, k_proxy: int = 100) -> tuple[Fraction, Fraction]:
+def worst_case_gap(n: int) -> tuple[Fraction, Fraction]:
     """Maximize asymptotic_outer - inner_bound over the inner corners.
 
     The gap between the smooth asymptote and the piece-wise linear converse is
     piece-wise convex, so its maximum sits on an inner corner; scanning the
-    corners is exact.  A finite k_proxy stands in for the infinite-message
-    converse because corners below 1/(1 + ... + n^(k_proxy-1)) are already
-    indistinguishable from 0 at the gap's resolution.
+    corners is exact.  The converse of k = 10 messages stands in for the
+    infinite-message one: every k from 10 to 200 gives the same maximum at
+    n = 2..40, 64, 100, 1000 and 10⁶; it sits at 1/15 for n = 2 and at
+    1/(1 + n + n²) for n = 3..40.
 
     Returns (maximizing ratio, maximal gap).
     """
-    _check_n(n)
-    _check_range("k_proxy", k_proxy, 10)
-    p = Params(k_proxy, n)
-    best_r = best_d = None
-    for i in range(1, k_proxy):
-        r = inner_corner(p, i)
-        d = asymptotic_outer(n, r) - inner_bound(p, r)
-        if best_d is None or d > best_d:
-            best_r, best_d = r, d
-    return best_r, best_d
+    p = Params(10, n)
+
+    def excess(r):
+        return asymptotic_outer(n, r) - inner_bound(p, r)
+
+    best = max(map(partial(inner_corner, p), range(1, p.k)), key=excess)
+    return best, excess(best)

@@ -42,8 +42,8 @@ from .bounds import (
     worst_case_gap,
 )
 from .protocol import (
-    CacheState, DecodeError, MessageStore, Transcript, _are_bits, _check_simulation_budget,
-    _draw, check_transcript, pack_bits, retrieve, unpack_bits,
+    CacheState, DecodeError, MessageStore, Transcript, _are_bits, _budgeted_corner,
+    _check_simulation_budget, _draw, check_transcript, pack_bits, retrieve, unpack_bits,
 )
 from .scheme import QueryPlan, compose_plans
 
@@ -356,7 +356,7 @@ def cmd_simulate(args) -> int:
     p = Params(args.k, args.n)
     if (args.r is None) == (args.s is None):
         raise ValueError("give exactly one of --r and --s")
-    r = args.r if args.r is not None else corner_ratio(p, args.s)
+    r = args.r if args.r is not None else _budgeted_corner(p, args.s).ratio
     precision = args.precision
     if args.out is not None:
         folder = os.path.dirname(os.path.abspath(args.out))
@@ -392,7 +392,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     p = Params(args.k, args.n)
-    _, _, drawn = _draw(p, corner_ratio(p, args.s), args.seed)  # what retrieve draws
+    _, _, drawn = _draw(p, _budgeted_corner(p, args.s).ratio, args.seed)  # retrieve's draw
     for theta in range(p.k):
         report = audit_mod.structural_symmetry(compose_plans(p, theta, drawn))
         if not report.passed:
@@ -408,14 +408,14 @@ def cmd_audit(args) -> int:
 def cmd_gap(args) -> int:
     p = Params(args.kmax, args.n)
     widest = Params(max(p.k, 10), p.n) if args.asymptotic else p  # worst_case_gap's k
-    _check_work(widest, p.k + widest.k if args.asymptotic else p.k)
+    _check_work(widest, p.k + 10 if args.asymptotic else p.k)
     precision = args.precision
     print(f"gap at the inner corners for k={p.k}, n={p.n}")
     for i in range(1, p.k):
         r = inner_corner(p, i)
         print(f"  i={i:<3} r={str(r):<28} gap={_show(gap_at(p, r), precision)}")
     if args.asymptotic:
-        r_star, delta = worst_case_gap(p.n, widest.k)
+        r_star, delta = worst_case_gap(p.n)
         print("asymptotic worst case (outer asymptote vs converse):")
         print(f"  argmax r = {r_star}")
         print(f"  max gap  = {_show(delta, precision)}")

@@ -15,9 +15,9 @@ Each constructor checks the form and shape of its own fields;
 transcript's fields together (the plan against its ratio's split, the cache
 and the answers against the store, the decoded message against message θ),
 which the transcript loader in `cli` applies to every file it reads.
-`_check_simulation_budget` states the one limit on simulated message bits,
-for `retrieve`, the loader and `audit.montecarlo_privacy`; `_budgeted_split`
-applies it to a ratio's split, from (k, n) alone first where it can.
+`_check_simulation_budget` states the one limit on simulated message bits and
+`_check_budget_floor` its floor from (k, n) alone; `_budgeted_split` (a ratio)
+and `_budgeted_corner` (a corner index) size every simulation through them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import Params, _as_ratio, _check_range, _check_theta
+from .bounds import (
+    CornerPoint, Params, _as_ratio, _check_range, _check_s, _check_theta, corner_point,
+)
 from .rng import derive_rng, sample
 from .scheme import (
     ContractViolation,
@@ -407,28 +409,40 @@ def _check_simulation_budget(k: int, length: int, what: str) -> None:
         )
 
 
-def _budgeted_split(p: Params, r) -> SplitSpec:
-    """`split_for_ratio(p, r)`, refused with ValueError over the simulation budget.
+def _check_budget_floor(p: Params, what: str) -> None:
+    """Refuse k·L(k - 2) bits over the budget, with no corner computed (about k²
+    work each).  L(s) falls in s, and a split below r_{k-1} = 1/(1 + n) has a low
+    corner s <= k - 2 at a share alpha > 0, so every corner but the last, and
+    every such split, is at least L(k - 2) = (k - 2) + n(k + n - 2) bits long."""
+    _check_simulation_budget(p.k, p.k - 2 + p.n * (p.k + p.n - 2), what)
 
-    Below r_{k-1} = 1/(1 + n) it is refused before any corner is computed
-    (about k² work each): its low corner s <= k - 2 has a share alpha > 0, so
-    it is at least L(s)/alpha >= L(k - 2) = (k - 2) + n(k + n - 2) bits long.
-    """
+
+def _budgeted_corner(p: Params, s: int) -> CornerPoint:
+    """`corner_point(p, s)`, refused with ValueError over the simulation budget,
+    before it is computed unless s = k - 1 (`_check_budget_floor`)."""
+    _check_s(p, s)
+    what = f"corner {s} needs"
+    if s < p.k - 1:
+        _check_budget_floor(p, what)
+    corner = corner_point(p, s)
+    _check_simulation_budget(p.k, corner.msg_len, what)
+    return corner
+
+
+def _budgeted_split(p: Params, r) -> SplitSpec:
+    """`split_for_ratio(p, r)`, refused with ValueError over the simulation budget,
+    below r_{k-1} = 1/(1 + n) before any corner is computed (`_check_budget_floor`)."""
     r = _as_ratio(r)
     what = "the ratio's split needs"
     if r < Fraction(1, 1 + p.n):
-        _check_simulation_budget(p.k, p.k - 2 + p.n * (p.k + p.n - 2), what)
+        _check_budget_floor(p, what)
     split = split_for_ratio(p, r)
     _check_simulation_budget(p.k, split.total_length, what)
     return split
 
 
 def _draw(p: Params, r, seed) -> tuple[MessageStore, CacheState, PlanDraw]:
-    """The store, the cache and the plan draw of `retrieve` at ratio r: all but θ.
-
-    The ratio is refused, with ValueError, before anything is allocated when
-    its split is over the simulation budget.
-    """
+    """The store, the cache and the plan draw of `retrieve` at ratio r: all but θ."""
     split = _budgeted_split(p, r)
     store = random_store(p.k, split.total_length, seed)
     cache = prefetch(store, split.cached_per_message, seed)

@@ -165,7 +165,7 @@ def test_c06_privacy():
         assert enumerate_privacy(Params(3, 2), 2).distance == 0
         for k, n, s in [(3, 2, 1), (4, 2, 2), (4, 3, 1)]:
             report = montecarlo_privacy(Params(k, n), s, 10_000, seed=2024)
-            assert report.passed and report.distance < 0.05, (k, n, s)
+            assert report.passed and report.distance == 0, (k, n, s)
         mutant_plan = retrieve(Params(3, 2), 0, F(1, 7), 9).plan
         assert not structural_symmetry(skip_message_symmetry(mutant_plan)).passed
         mutant_mc = montecarlo_privacy(
@@ -201,13 +201,12 @@ def test_c08_monotonicity_and_collinearity():
 
 def test_c09_gap_analysis():
     with criterion("9 worst-case gap and converse value near zero"):
-        r_star, delta = worst_case_gap(2, 100)
+        r_star, delta = worst_case_gap(2)
         assert r_star == F(1, 15)
-        assert delta <= F(1, 6)
-        deltas = [worst_case_gap(n, 100)[1] for n in range(2, 7)]
+        assert delta == F(1, 6)
+        deltas = [worst_case_gap(n)[1] for n in range(2, 7)]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
-        value = inner_bound(Params(100, 2), F(1, 127))
-        assert round(float(value), 4) == 1.8898
+        assert inner_bound(Params(100, 2), F(1, 127)) == F(240, 127)
 
 
 def test_c10_asymptotics():

@@ -1,4 +1,5 @@
-"""Argument contract: every int argument of `bounds`, `random_store` and `prefetch`.
+"""Argument contract: every int argument of `bounds`, `random_store`, `prefetch`
+and `montecarlo_privacy`.
 
 Each int argument refuses a float, a bool and a value out of its range with a
 ValueError that names the argument, and no result for int and `Fraction`
@@ -12,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from cachepir import bounds
+from cachepir.audit import montecarlo_privacy
 from cachepir.bounds import Params
 from cachepir.protocol import prefetch, random_store
 
@@ -37,11 +39,12 @@ INT_ARGUMENTS = [
         (name, "n", lambda v, f=getattr(bounds, name): f(v, R), 2, [1])
         for name in ("exact_tradeoff_k3", "asymptotic_outer", "asymptotic_gain")
     ],
-    ("worst_case_gap", "n", lambda v: bounds.worst_case_gap(v, 10), 2, [1]),
-    ("worst_case_gap", "k_proxy", lambda v: bounds.worst_case_gap(2, v), 10, [9]),
+    ("worst_case_gap", "n", bounds.worst_case_gap, 2, [1]),
     ("random_store", "k", lambda v: random_store(v, 7, 1), 3, [0]),
     ("random_store", "length", lambda v: random_store(3, v, 1), 7, [0]),
     ("prefetch", "bits_per_message", lambda v: prefetch(STORE, v, 1), 1, [-1, 8]),
+    ("montecarlo_privacy", "trials", lambda v: montecarlo_privacy(Params(3, 2), 1, v, 1),
+     1000, [999]),
 ]
 
 # the public names of `bounds` that take no int argument, each called on

@@ -37,6 +37,7 @@ from cachepir import (
     verify_cost,
     verify_decodability,
 )
+from cachepir import audit, bounds, protocol
 from cachepir.audit import _corner_plan, _draw_distance
 from cachepir.rng import derive_rng
 
@@ -589,6 +590,16 @@ def test_mutated_montecarlo_memory_stays_small(mutation):
 def test_montecarlo_requires_enough_trials():
     with pytest.raises(ValueError):
         montecarlo_privacy(Params(3, 2), 1, 999, seed=0)
+
+
+def test_montecarlo_large_k_refused_before_corner_arithmetic(monkeypatch):
+    def no_corner_arithmetic(*_):
+        raise AssertionError("corner arithmetic started")
+
+    for module in (bounds, protocol, audit):
+        monkeypatch.setattr(module, "corner_point", no_corner_arithmetic)
+    with pytest.raises(ValueError, match="simulation budget"):
+        montecarlo_privacy(Params(30_000, 2), 1, 1000, 1)
 
 
 def test_montecarlo_mutant_fails():

@@ -396,9 +396,14 @@ def test_asymptotic_gain_at_most_one(n, r):
 
 
 def test_worst_case_gap_n2():
-    r_star, delta = worst_case_gap(2, 100)
-    assert r_star == F(1, 15)
-    assert delta <= F(1, 6)
+    assert worst_case_gap(2) == (F(1, 15), F(1, 6))
+
+
+def test_worst_case_gap_in_closed_form():
+    # from n = 3 on the worst case sits at the inner corner 1/(1 + n + n²),
+    # and the gap there equals that ratio
+    for n in range(3, 41):
+        assert worst_case_gap(n) == (F(1, 1 + n + n * n),) * 2, n
 
 
 @pytest.mark.parametrize("r", [F(0), F(1, 10**60), F(1, 10**6), F(1, 3), F(1, 2), F(1)])
@@ -425,15 +430,13 @@ def test_gap_at_most_one_sixth_at_finite_k():
 
 
 def test_worst_case_gap_decreasing_in_n():
-    deltas = [worst_case_gap(n, 100)[1] for n in range(2, 7)]
+    deltas = [worst_case_gap(n)[1] for n in range(2, 7)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
 def test_worst_case_gap_guards():
     with pytest.raises(ValueError):
-        worst_case_gap(1, 100)
-    with pytest.raises(ValueError):
-        worst_case_gap(2, 5)
+        worst_case_gap(1)
 
 
 def test_inner_bound_near_zero_corner_value():

@@ -590,7 +590,7 @@ def test_audit_verdict_matches_distributional_audits(k, n, s, seed, capsys):
         ["bounds", "--k", "100", "--n", str(10**1000)],
         ["curve", "--k", "4", "--n", "2", "--samples", str(10**12)],
         ["gap", "--n", "2", "--kmax", "100000"],
-        ["gap", "--n", "2", "--kmax", "230", "--asymptotic"],
+        ["gap", "--n", "2", "--kmax", "300", "--asymptotic"],
     ],
     ids=["bounds-k", "bounds-n", "curve-samples", "gap-kmax", "gap-asymptotic"],
 )
@@ -645,18 +645,17 @@ def test_large_k_ratio_refused_before_corner_arithmetic(monkeypatch, capsys):
 
 
 def test_large_k_corner_refused_computing_only_that_corner(monkeypatch, capsys):
-    computed = set()
-    real = bounds.corner_point
-    monkeypatch.setattr(bounds, "corner_point", lambda p, s: computed.add(s) or real(p, s))
-    code, out, err = run(
-        ["simulate", "--k", "30000", "--n", "2", "--s", "1", "--theta", "0",
-         "--seed", "1"],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert "simulation budget" in err
-    assert computed == {1}
+    # every corner s <= k - 2 is at least L(k - 2) bits long, so corner 1 at
+    # k = 30 000 is refused from (k, n) alone: not even that corner is computed
+    for module in (bounds, protocol):
+        monkeypatch.setattr(module, "corner_point", no_corner_arithmetic)
+    for command in (["simulate", "--theta", "0"], ["audit"]):
+        code, out, err = run(
+            [*command, "--k", "30000", "--n", "2", "--s", "1", "--seed", "1"], capsys
+        )
+        assert code == 2, command
+        assert out == ""
+        assert "simulation budget" in err
 
 
 def test_transcript_claiming_large_k_refused_before_corner_arithmetic(monkeypatch):

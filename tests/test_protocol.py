@@ -520,6 +520,22 @@ def test_retrieve_budget():
     assert 4 * split.total_length <= MAX_SIMULATED_BITS
 
 
+def test_budgeted_corner_admits_the_last_corner_at_large_k(monkeypatch):
+    # L(k - 1) = 1 + n, so the floor k·L(k - 2) does not apply to corner k - 1
+    p = Params(30_000, 2)
+    computed = []
+    real = protocol.corner_point
+    monkeypatch.setattr(protocol, "corner_point", lambda *a: computed.append(a) or real(*a))
+    assert protocol._budgeted_corner(p, p.k - 1).msg_len == 3
+    with pytest.raises(ValueError, match="simulation budget"):
+        protocol._budgeted_corner(p, p.k - 2)
+    # the index is checked before the budget
+    for s in (-1, 1.0, p.k):
+        with pytest.raises(ValueError, match="corner index s"):
+            protocol._budgeted_corner(p, s)
+    assert computed == [(p, p.k - 1)]
+
+
 def test_transcript_answers_must_match_plan():
     t = retrieve(Params(3, 2), 0, F(1, 7), 1)
     short = (t.answers[0][:-1],) + t.answers[1:]
