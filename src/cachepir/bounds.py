@@ -16,7 +16,9 @@ Everything here is computed with arbitrary-precision rationals
 
 All operations are pure functions of their arguments.  `corner_point` caches
 each corner once; a point query of the outer bound bisects for the two corners
-enclosing r (`_enclosing_corner`, shared with `scheme.split_for_ratio`).
+enclosing r (`_enclosing_corner`, shared with `scheme.split_for_ratio`); one
+of the converse bisects the inner corners 1/S_t, S_t = 1 + n + ... + n^t
+(`_powers_sum`), for the one segment it evaluates.
 
 Each int argument's rule is written once and called from every entry point,
 refusing with a ValueError that names the argument: `_check_int` (an int, not
@@ -32,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 Rational = Fraction
 
@@ -246,38 +248,36 @@ def outer_bound(p: Params, r) -> Fraction:
     return alpha * low.cost + (1 - alpha) * high.cost
 
 
+def _powers_sum(n: int, t: int) -> int:
+    """S_t = 1 + n + ... + n^t, in closed form."""
+    return (n ** (t + 1) - 1) // (n - 1)
+
+
 def inner_corner(p: Params, i: int) -> Fraction:
     """Ratio where the converse bound changes slope: 1 / (1 + n + ... + n^(k-i))."""
     _check_s(p, i, 1, "inner corner index i")
-    return Fraction(1, sum(p.n**j for j in range(p.k - i + 1)))
-
-
-@cache
-def _inner_segments(p: Params) -> tuple[tuple[Fraction, Fraction], ...]:
-    # Segment with K+1-i = t leading messages contributes
-    #   (1-r) * sum_{j<=t} n^-j  -  r * sum_{j<t} (t-j) n^-j  =  a - r * (a + b),
-    # accumulated incrementally: a_t = a_{t-1} + n^-t, b_t = b_{t-1} + a_{t-1}.
-    segs = []
-    a = Fraction(1)
-    b = Fraction(0)
-    for t in range(p.k):
-        segs.append((a, a + b))
-        b += a
-        a += Fraction(1, p.n ** (t + 1))
-    return tuple(segs)
+    return Fraction(1, _powers_sum(p.n, p.k - i))
 
 
 def inner_bound(p: Params, r) -> Fraction:
-    """Converse lower bound on the cost at ratio r, floored at 0."""
+    """Converse lower bound on the cost at ratio r: its one active segment.
+
+    Segment t (t = 0..k-1) is (S_t - r·W_t) / n^t with S_t = 1 + n + ... + n^t
+    and W_t = Σ_{m<=t} (m+1)·n^m = (t+1)·S_t - (S_t - 1 - t)/(n-1).  The
+    maximizing segment changes from t to t - 1 at the inner corner 1/S_t, so
+    the active t counts the u in 1..k-1 with r·S_u <= 1, found by bisection.
+    """
     r = _as_ratio(r)
-    best = max(a - r * c for a, c in _inner_segments(p))
-    return max(best, Fraction(0))
+    t = bisect_right(range(1, p.k), 1, key=lambda u: r * _powers_sum(p.n, u))
+    total = _powers_sum(p.n, t)
+    weighted = (t + 1) * total - (total - 1 - t) // (p.n - 1)
+    return (total - r * weighted) / p.n**t
 
 
 def known_prefetch_cost(p: Params, r) -> Fraction:
     """Memory-sharing cost when all databases know the cache content."""
     r = _as_ratio(r)
-    return (1 - r) * Fraction(sum(p.n**j for j in range(p.k)), p.n ** (p.k - 1))
+    return (1 - r) * Fraction(_powers_sum(p.n, p.k - 1), p.n ** (p.k - 1))
 
 
 def gap(p: Params, r) -> Fraction:
@@ -324,7 +324,7 @@ def matching_region(p: Params) -> tuple[Fraction, Fraction]:
             "matching_region needs k >= 3; for k=2 the whole curve is determined "
             "by its corners"
         )
-    low = Fraction(1, sum(p.n**j for j in range(p.k)))
+    low = Fraction(1, _powers_sum(p.n, p.k - 1))
     high = Fraction(p.k - 2, (p.n + 1) * p.k + p.n * p.n - 2 * p.n - 2)
     return low, high
 

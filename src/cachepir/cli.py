@@ -34,6 +34,7 @@ from fractions import Fraction
 from . import audit as audit_mod
 from .bounds import (
     Params,
+    _check_range,
     corner_points,
     corner_ratio,
     curve_point,
@@ -47,10 +48,8 @@ from .protocol import (
 )
 from .scheme import QueryPlan, compose_plans
 
-CURVE_HEADER = (
-    "r,r_exact,outer,outer_exact,inner,inner_exact,"
-    "baseline,baseline_exact,gap,gap_exact"
-)
+CURVE_FIELDS = ("r", "outer", "inner", "baseline", "gap")  # `CurvePoint` fields
+CURVE_HEADER = ",".join(f"{name},{name}_exact" for name in CURVE_FIELDS)
 
 _RATIO_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # q = 0 is no ratio
 
@@ -244,7 +243,8 @@ def write_curve_csv(p: Params, samples: int, precision: int, fh) -> None:
     fh.write(CURVE_HEADER + "\n")
     for pt in curve_rows(p, samples):
         cells = []
-        for value in (pt.r, pt.outer, pt.inner, pt.baseline, pt.gap):
+        for name in CURVE_FIELDS:
+            value = getattr(pt, name)
             cells.append(decimal_str(value, precision))
             cells.append(fraction_token(value))
         fh.write(",".join(cells) + "\n")
@@ -254,13 +254,8 @@ def write_curve_json(p: Params, samples: int, precision: int, fh) -> None:
     points = []
     for pt in curve_rows(p, samples):
         entry = {}
-        for name, value in (
-            ("r", pt.r),
-            ("outer", pt.outer),
-            ("inner", pt.inner),
-            ("baseline", pt.baseline),
-            ("gap", pt.gap),
-        ):
+        for name in CURVE_FIELDS:
+            value = getattr(pt, name)
             entry[name] = fraction_token(value)
             entry[name + "_decimal"] = decimal_str(value, precision)
         points.append(entry)
@@ -277,17 +272,20 @@ def write_curve_json(p: Params, samples: int, precision: int, fh) -> None:
 
 
 # Work budget of `bounds`, `curve` and `gap`, checked before any arithmetic
-# (exit 2).  Each corner value sums about k rationals of about k·log2(n)
-# bits: the corner table costs about 4k² such terms, and each evaluated
-# ratio (a curve row, a gap row, `bounds --r`) about 2k more, plus a fixed
-# cost near 256 for building and rendering its row.  One unit is one term
-# per 64-bit word of width; on a 2-vCPU machine 10⁶ units at n=2 took
-# 0.3–0.6 s, so the budget admits about 2.5 s of work.
-MAX_EXACT_WORK = 4 * 10**6
+# (exit 2), for numbers of w = 1 + k·bits(n)/64 words.  The corner table sums
+# about k² running products: k²·w units.  Each ratio evaluated (a curve row,
+# a gap row, `bounds --r`) bisects the outer and inner corners, O(log k)
+# fraction operations, and renders its row; gcd and int-to-str are quadratic
+# in w: 2000 + 150·w + 5·w² units, no factor of k.  Measured in-process on a
+# 2-vCPU machine (Python 3.11), k = 4..1300 at n = 2, 3, 5, 7 and up to the
+# digit limit below at n = 10³, 10⁶, 10¹², 10⁴⁰, 10¹⁰⁰, 10³⁰⁰ (w = 1..110): a
+# unit took 15–50 ns in every table over 0.05 s, and under 40 ns in a row
+# (50 µs at w = 1, 2.7 ms at w = 107), so the budget admits about 2 s.
+MAX_EXACT_WORK = 5 * 10**7
 
 
 def _check_work(p: Params, rows: int) -> None:
-    """Refuse, with ValueError, a command over MAX_EXACT_WORK at `rows` ratios.
+    """Refuse, with ValueError, p's corner table and `rows` ratios over MAX_EXACT_WORK.
 
     Also refuse one whose values could pass Python's int-to-str limit halfway
     through the output: they stay under 2k·(bits(n) + 1) bits (curve rows,
@@ -295,7 +293,7 @@ def _check_work(p: Params, rows: int) -> None:
     """
     bits = p.n.bit_length()
     words = 1 + p.k * bits // 64
-    work = (4 * p.k * p.k + rows * (2 * p.k + 256)) * words
+    work = p.k * p.k * words + rows * (2000 + 150 * words + 5 * words * words)
     if work > MAX_EXACT_WORK:
         raise ValueError(
             f"k={p.k} over {rows} ratios needs about {work} units of exact "
@@ -317,7 +315,7 @@ def _show(value: Fraction, precision: int) -> str:
 
 def cmd_bounds(args) -> int:
     p = Params(args.k, args.n)
-    _check_work(p, 1)
+    _check_work(p, 0 if args.r is None else 1)
     precision = args.precision
     print(f"corner points for k={p.k} messages, n={p.n} databases")
     print(f"{'s':>4} {'r_s':>14} {'L(s)':>10} {'D(r_s)':>10}  cost")
@@ -339,8 +337,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_curve(args) -> int:
     p = Params(args.k, args.n)
-    if args.samples < 2:
-        raise ValueError(f"need at least 2 samples, got {args.samples}")
+    _check_range("samples", args.samples, 2)
     _check_work(p, args.samples + 2 * p.k)
     writer = write_curve_csv if args.format == "csv" else write_curve_json
     if args.out is None:
@@ -407,8 +404,9 @@ def cmd_audit(args) -> int:
 
 def cmd_gap(args) -> int:
     p = Params(args.kmax, args.n)
-    widest = Params(max(p.k, 10), p.n) if args.asymptotic else p  # worst_case_gap's k
-    _check_work(widest, p.k + 10 if args.asymptotic else p.k)
+    # --asymptotic adds the 9 inner corners of worst_case_gap's k = 10 converse
+    widest = Params(max(p.k, 10), p.n) if args.asymptotic else p
+    _check_work(widest, p.k - 1 + (9 if args.asymptotic else 0))
     precision = args.precision
     print(f"gap at the inner corners for k={p.k}, n={p.n}")
     for i in range(1, p.k):

@@ -223,18 +223,20 @@ def test_inner_bound_golden(k, n, r, value):
     assert inner_bound(Params(k, n), r) == value
 
 
+def segment(n, t, r):
+    # the converse's line with t + 1 leading messages, summed term by term
+    lead = sum(F(1, n**j) for j in range(t + 1))
+    slope = sum(F(t - j, n**j) for j in range(t))
+    return (1 - r) * lead - r * slope
+
+
 def test_inner_segment_transitions():
     # The maximizing straight line changes exactly at the inner corners.
     for k, n in [(4, 2), (5, 3), (6, 2)]:
         p = Params(k, n)
 
-        def segment(t, r):
-            lead = sum(F(1, n**j) for j in range(t + 1))
-            slope = sum(F(t - j, n**j) for j in range(t))
-            return (1 - r) * lead - r * slope
-
         def argmax(r):
-            values = [(segment(t, r), t) for t in range(k)]
+            values = [(segment(n, t, r), t) for t in range(k)]
             return max(values)[1]
 
         for i in range(1, k):
@@ -244,7 +246,33 @@ def test_inner_segment_transitions():
             assert below == k - i
             assert above == k - i - 1
             # both adjacent segments meet the bound at the corner itself
-            assert segment(k - i, corner) == segment(k - i - 1, corner) == inner_bound(p, corner)
+            assert (
+                segment(n, k - i, corner)
+                == segment(n, k - i - 1, corner)
+                == inner_bound(p, corner)
+            )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_segment_converse_is_the_k_line_maximum(n):
+    # inner_bound evaluates only the active segment; the reference is the
+    # maximum over all k lines, each line's value at r = 0 plus r times its slope
+    rng = random.Random(28 + n)
+    for k in range(2, 41):
+        p = Params(k, n)
+        lines = [(segment(n, t, 0), segment(n, t, 1) - segment(n, t, 0))
+                 for t in range(k)]
+        breaks = sorted(
+            {F(0), F(1)}
+            | {inner_corner(p, i) for i in range(1, k)}
+            | {corner_ratio(p, s) for s in range(k)}
+        )
+        ratios = set(breaks)
+        ratios.update((a + b) / 2 for a, b in zip(breaks, breaks[1:]))
+        ratios.update(F(rng.randrange(10**6 + 1), 10**6) for _ in range(8))
+        ratios.update(F(1, rng.randrange(1, 10**12 + 1)) for _ in range(8))
+        for r in ratios:
+            assert inner_bound(p, r) == max(a + r * b for a, b in lines), (k, n, r)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output values, curve and transcript files."""
 
 import json
+import re
 import shlex
 import tracemalloc
 from fractions import Fraction as F
@@ -583,6 +584,16 @@ def test_audit_verdict_matches_distributional_audits(k, n, s, seed, capsys):
         assert exact.passed
 
 
+def no_arithmetic(*_):
+    raise AssertionError("arithmetic started")
+
+
+def patch_out_arithmetic(monkeypatch):
+    for name in ("corner_points", "curve_grid", "curve_point", "inner_corner", "gap_at",
+                 "worst_case_gap"):
+        monkeypatch.setattr(cli, name, no_arithmetic)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -590,16 +601,52 @@ def test_audit_verdict_matches_distributional_audits(k, n, s, seed, capsys):
         ["bounds", "--k", "100", "--n", str(10**1000)],
         ["curve", "--k", "4", "--n", "2", "--samples", str(10**12)],
         ["gap", "--n", "2", "--kmax", "100000"],
-        ["gap", "--n", "2", "--kmax", "300", "--asymptotic"],
+        ["gap", "--n", "2", "--kmax", "2000", "--asymptotic"],
     ],
     ids=["bounds-k", "bounds-n", "curve-samples", "gap-kmax", "gap-asymptotic"],
 )
-def test_oversized_exact_arithmetic_refused(argv, capsys):
+def test_oversized_exact_arithmetic_refused(argv, monkeypatch, capsys):
     # each would run for minutes; the budget refuses it before any arithmetic
+    patch_out_arithmetic(monkeypatch)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
+
+
+def readme_refused_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    budget = readme[readme.index("cachepir.cli.MAX_EXACT_WORK"):]
+    examples = budget[budget.index("for example"):budget.index(";")]
+    return [shlex.split(command) for command in re.findall(r"`([^`]+)`", examples)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    readme_refused_examples(),
+    ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv),
+)
+def test_readme_refused_examples_are_refused(argv, monkeypatch, capsys):
+    patch_out_arithmetic(monkeypatch)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "390", "--n", "2"],
+        ["gap", "--n", "2", "--kmax", "300", "--asymptotic"],
+    ],
+    ids=["bounds-k390", "gap-asymptotic-kmax300"],
+)
+def test_budget_admits_commands_that_run_fast(argv, capsys):
+    # each runs in about 0.1 s: a ratio's cost has no factor of k
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out
 
 
 @pytest.mark.parametrize(
@@ -614,12 +661,7 @@ def test_oversized_exact_arithmetic_refused(argv, capsys):
 def test_astronomical_n_refused_before_output(argv, monkeypatch, capsys):
     # within the work budget, but its values would pass Python's limit on
     # int-to-str conversion halfway through the output
-    def no_arithmetic(*_):
-        raise AssertionError("arithmetic started")
-
-    for name in ("corner_points", "curve_grid", "curve_point", "inner_corner", "gap_at",
-                 "worst_case_gap"):
-        monkeypatch.setattr(cli, name, no_arithmetic)
+    patch_out_arithmetic(monkeypatch)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
