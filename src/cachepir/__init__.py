@@ -3,76 +3,17 @@
 Exact-rational download-cost bounds, explicit GF(2) query-plan construction
 with memory-sharing, seeded end-to-end retrieval simulation, and
 privacy/decodability/cost audits.
+
+The package exports exactly the `__all__` of `bounds`, `scheme`, `protocol`
+and `audit`: each module's list is the one statement of its public names.
 """
 
-from .bounds import (
-    CornerPoint,
-    CurvePoint,
-    Params,
-    Rational,
-    asymptotic_gain,
-    asymptotic_outer,
-    binom,
-    collinearity_check,
-    corner_cost,
-    corner_download_total,
-    corner_message_length,
-    corner_point,
-    corner_points,
-    corner_ratio,
-    curve_point,
-    exact_tradeoff_k3,
-    gap,
-    inner_bound,
-    inner_corner,
-    known_prefetch_cost,
-    matching_region,
-    outer_bound,
-    worst_case_gap,
-)
-from .scheme import (
-    BitRef,
-    ContractViolation,
-    Equation,
-    PlanDraw,
-    QueryPlan,
-    RoundCounts,
-    RoundProfile,
-    SplitSpec,
-    build_corner_plan,
-    compose_plans,
-    corner_equations,
-    draw_plan,
-    first_non_canonical,
-    is_canonical,
-    relabel,
-    round_profile,
-    split_for_ratio,
-)
-from .protocol import (
-    CacheState,
-    DecodeError,
-    MessageStore,
-    Transcript,
-    answer,
-    check_transcript,
-    decode,
-    prefetch,
-    random_store,
-    retrieve,
-)
-from .audit import (
-    PrivacyReport,
-    bias_mixture_assignment,
-    drop_undesired_equation,
-    enumerate_privacy,
-    montecarlo_privacy,
-    plan_signature,
-    skip_message_symmetry,
-    sort_queries,
-    structural_symmetry,
-    verify_cost,
-    verify_decodability,
-)
+from . import audit, bounds, protocol, scheme
+from .bounds import *  # noqa: F401,F403
+from .scheme import *  # noqa: F401,F403
+from .protocol import *  # noqa: F401,F403
+from .audit import *  # noqa: F401,F403
+
+__all__ = [*bounds.__all__, *scheme.__all__, *protocol.__all__, *audit.__all__]
 
 __version__ = "0.1.0"

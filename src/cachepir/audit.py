@@ -140,7 +140,8 @@ def verify_decodability(t: Transcript) -> bool:
     The decoder raises no DecodeError and returns a value equal to both the
     transcript's decoded message and the stored one.  By the argument in the
     module docstring, every desired unit vector is then in the span of the
-    downloaded equations and the cached bits.
+    downloaded equations and the cached bits.  It is for transcripts read
+    from a file: `retrieve` decoded its own, so `simulate` compares that.
     """
     try:
         redecoded = decode(t.plan, t.answers, t.cache)

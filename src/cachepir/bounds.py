@@ -36,18 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Params",
     "CornerPoint",
     "CurvePoint",
     "binom",
     "corner_ratio",
     "corner_message_length",
-    "corner_download_total",
-    "corner_cost",
     "corner_point",
     "corner_points",
     "outer_bound",
@@ -194,23 +189,18 @@ def corner_point(p: Params, s: int) -> CornerPoint:
 
 
 def corner_message_length(p: Params, s: int) -> int:
-    """Message length L(s) that makes the corner-s scheme exact."""
+    """Message length L(s) that makes the corner-s scheme exact.
+
+    It reads `corner_point(p, s).msg_len`.  It stays because the benchmark's
+    cycle builders (`bench/workloads.py`) call
+    `lib.bounds.corner_message_length` by name in both workloads.
+    """
     return corner_point(p, s).msg_len
-
-
-def corner_download_total(p: Params, s: int) -> int:
-    """Total downloaded bits D(r_s) of the corner-s scheme, over all databases."""
-    return corner_point(p, s).total_download
 
 
 def corner_ratio(p: Params, s: int) -> Fraction:
     """Caching ratio r_s at which mixtures of s cached bits are exact; r_0 = 0."""
     return corner_point(p, s).ratio
-
-
-def corner_cost(p: Params, s: int) -> Fraction:
-    """Normalized download cost D(r_s) / L(s) of the corner-s scheme."""
-    return corner_point(p, s).cost
 
 
 def corner_points(p: Params) -> list[CornerPoint]:
@@ -341,7 +331,7 @@ def collinearity_check(p: Params, s: int) -> bool:
     r_new = corner_ratio(up, s)
     if not corner_ratio(p, s - 1) <= r_new <= corner_ratio(p, s):
         return False
-    return corner_cost(up, s) == outer_bound(p, r_new)
+    return corner_point(up, s).cost == outer_bound(p, r_new)
 
 
 def asymptotic_outer(n: int, r) -> Fraction:

@@ -212,8 +212,11 @@ def transcript_from_dict(data: dict) -> Transcript:
 
 
 def write_transcript(t: Transcript, path: str) -> None:
+    """One compact line: `json.dumps` without an indent runs json's C encoder,
+    where `json.dump` or any indent falls back to the pure-Python one."""
+    text = json.dumps(transcript_to_dict(t), separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(transcript_to_dict(t), fh, indent=1)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -272,7 +275,8 @@ def write_curve_json(p: Params, samples: int, precision: int, fh) -> None:
 
 
 # Work budget of `bounds`, `curve` and `gap`, checked before any arithmetic
-# (exit 2), for numbers of w = 1 + k·bits(n)/64 words.  The corner table sums
+# (exit 2), for numbers of w = 1 + k·⌈log2 n⌉/64 words (n^k has k·log2 n
+# bits; `n.bit_length()` would count 2 bits at n = 2).  The corner table sums
 # about k² running products: k²·w units.  Each ratio evaluated (a curve row,
 # a gap row, `bounds --r`) bisects the outer and inner corners, O(log k)
 # fraction operations, and renders its row; gcd and int-to-str are quadratic
@@ -280,7 +284,9 @@ def write_curve_json(p: Params, samples: int, precision: int, fh) -> None:
 # 2-vCPU machine (Python 3.11), k = 4..1300 at n = 2, 3, 5, 7 and up to the
 # digit limit below at n = 10³, 10⁶, 10¹², 10⁴⁰, 10¹⁰⁰, 10³⁰⁰ (w = 1..110): a
 # unit took 15–50 ns in every table over 0.05 s, and under 40 ns in a row
-# (50 µs at w = 1, 2.7 ms at w = 107), so the budget admits about 2 s.
+# (50 µs at w = 1, 2.7 ms at w = 107), so the budget admits about 2 s.  At
+# the n = 2 edge, `bounds --k 1471` took 1.7–1.9 s and `gap --kmax 1343`
+# 1.3 s in a fresh process.
 MAX_EXACT_WORK = 5 * 10**7
 
 
@@ -291,14 +297,14 @@ def _check_work(p: Params, rows: int) -> None:
     through the output: they stay under 2k·(bits(n) + 1) bits (curve rows,
     the widest, reached 0.86 of that at k = 15).
     """
-    bits = p.n.bit_length()
-    words = 1 + p.k * bits // 64
+    words = 1 + p.k * (p.n - 1).bit_length() // 64
     work = p.k * p.k * words + rows * (2000 + 150 * words + 5 * words * words)
     if work > MAX_EXACT_WORK:
         raise ValueError(
             f"k={p.k} over {rows} ratios needs about {work} units of exact "
             f"arithmetic, over the budget of {MAX_EXACT_WORK}"
         )
+    bits = p.n.bit_length()
     digits = 2 * p.k * (bits + 1) * 30103 // 100000 + 1  # log10(2) = 0.30103...
     # 0 means no limit; Python before 3.10.7 has none and no getter
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -364,7 +370,7 @@ def cmd_simulate(args) -> int:
     except DecodeError as err:
         print(f"decode failed: {err}", file=sys.stderr)
         return 1
-    decoded_ok = audit_mod.verify_decodability(t)
+    decoded_ok = t.decoded == t.store.bits[t.plan.theta]  # retrieve just decoded it
     cost_ok = audit_mod.verify_cost(t)
     symmetry = audit_mod.structural_symmetry(t.plan)
     print(

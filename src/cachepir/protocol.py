@@ -45,8 +45,6 @@ from .scheme import (
 __all__ = [
     "MessageStore",
     "CacheState",
-    "pack_bits",
-    "unpack_bits",
     "Transcript",
     "check_transcript",
     "DecodeError",

@@ -85,7 +85,6 @@ __all__ = [
     "SplitSpec",
     "round_profile",
     "corner_equations",
-    "Relabeling",
     "relabel",
     "build_corner_plan",
     "split_for_ratio",

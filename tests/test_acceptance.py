@@ -15,9 +15,8 @@ from cachepir import (
     binom,
     build_corner_plan,
     collinearity_check,
-    corner_cost,
-    corner_download_total,
     corner_message_length,
+    corner_point,
     corner_ratio,
     enumerate_privacy,
     exact_tradeoff_k3,
@@ -65,12 +64,12 @@ def test_c01_corner_value_golden_suite():
         for (k, n), corners in golden.items():
             p = Params(k, n)
             for s, ratio, cost in corners:
-                assert corner_ratio(p, s) == ratio
-                assert corner_cost(p, s) == cost
+                corner = corner_point(p, s)
+                assert (corner.ratio, corner.cost) == (ratio, cost)
         for k in range(2, 11):
             for n in range(2, 6):
                 p = Params(k, n)
-                assert corner_cost(p, 0) == sum(F(1, n**j) for j in range(k))
+                assert corner_point(p, 0).cost == sum(F(1, n**j) for j in range(k))
 
 
 def test_c02_k3_exact_tradeoff():
@@ -104,8 +103,8 @@ def test_c04_protocol_reliability_and_cost():
             for n in range(2, 5):
                 p = Params(k, n)
                 for s in range(k):
-                    r = corner_ratio(p, s)
-                    expected = corner_download_total(p, s)
+                    corner = corner_point(p, s)
+                    r, expected = corner.ratio, corner.total_download
                     for theta in range(k):
                         for seed in range(20):
                             t = retrieve(p, theta, r, seed)
@@ -215,5 +214,6 @@ def test_c10_asymptotics():
             for share in (F(7, 10), F(9, 10)):
                 s = int(share * 500)
                 p = Params(500, n)
-                diff = abs(corner_cost(p, s) - asymptotic_outer(n, corner_ratio(p, s)))
+                corner = corner_point(p, s)
+                diff = abs(corner.cost - asymptotic_outer(n, corner.ratio))
                 assert diff < F(1, 1000), (n, s)

@@ -1,18 +1,20 @@
 """Argument contract: every int argument of `bounds`, `random_store`, `prefetch`
-and `montecarlo_privacy`.
+and `montecarlo_privacy`, and the public names it covers.
 
 Each int argument refuses a float, a bool and a value out of its range with a
 ValueError that names the argument, and no result for int and `Fraction`
-inputs is a float.
+inputs is a float.  The package exports exactly its modules' `__all__`.
 """
 
 import dataclasses
 import re
+import types
 from fractions import Fraction as F
 
 import pytest
 
-from cachepir import bounds
+import cachepir
+from cachepir import audit, bounds, protocol, scheme
 from cachepir.audit import montecarlo_privacy
 from cachepir.bounds import Params
 from cachepir.protocol import prefetch, random_store
@@ -30,8 +32,7 @@ INT_ARGUMENTS = [
     ("binom", "k", lambda v: bounds.binom(4, v), 2, []),
     *[
         (name, "s", lambda v, f=getattr(bounds, name): f(P, v), 1, [-1, 4])
-        for name in ("corner_point", "corner_ratio", "corner_message_length",
-                     "corner_download_total", "corner_cost")
+        for name in ("corner_point", "corner_ratio", "corner_message_length")
     ],
     ("inner_corner", "i", lambda v: bounds.inner_corner(P, v), 1, [0, 4]),
     ("collinearity_check", "s", lambda v: bounds.collinearity_check(P, v), 1, [0, 4]),
@@ -58,7 +59,7 @@ NO_INT_ARGUMENTS = {
     "curve_point": lambda: bounds.curve_point(P, 1),
     "matching_region": lambda: bounds.matching_region(P),
 }
-VALUE_TYPES = {"Rational", "CornerPoint", "CurvePoint"}
+VALUE_TYPES = {"CornerPoint", "CurvePoint"}
 
 
 def refusals():
@@ -79,6 +80,16 @@ def test_int_argument_refused_naming_it(call, arg, value):
 def test_every_public_name_of_bounds_is_covered():
     covered = {func for func, *_ in INT_ARGUMENTS} | set(NO_INT_ARGUMENTS) | VALUE_TYPES
     assert set(bounds.__all__) <= covered
+
+
+def test_package_exports_exactly_the_modules_all():
+    union = set().union(*(m.__all__ for m in (bounds, scheme, protocol, audit)))
+    exported = {
+        name for name, value in vars(cachepir).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == union
+    assert sorted(cachepir.__all__) == sorted(union)
 
 
 def floats(value) -> bool:

@@ -18,7 +18,6 @@ from cachepir import (
     bias_mixture_assignment,
     binom,
     compose_plans,
-    corner_download_total,
     corner_equations,
     corner_message_length,
     corner_point,
@@ -462,7 +461,7 @@ def ordered_views(k, n, s, theta, orders):
 
 @pytest.mark.parametrize("k,n,s", [(2, 2, 0), (2, 2, 1), (2, 3, 1), (3, 2, 2)])
 def test_ordered_views_equal_across_desired_indices(k, n, s):
-    rows = corner_download_total(Params(k, n), s) // n
+    rows = corner_point(Params(k, n), s).total_download // n
     orders = list(permutations(range(rows)))
     first = ordered_views(k, n, s, 0, orders)
     for theta in range(1, k):
@@ -472,7 +471,7 @@ def test_ordered_views_equal_across_desired_indices(k, n, s):
 def test_unshuffled_views_tell_the_desired_index():
     # Negative control: shipped in built order, the desired sums come first,
     # which the order-blind certificate cannot see (`sort_queries`).
-    identity = [tuple(range(corner_download_total(Params(2, 2), 0) // 2))]
+    identity = [tuple(range(corner_point(Params(2, 2), 0).total_download // 2))]
     views = [ordered_views(2, 2, 0, theta, identity) for theta in range(2)]
     assert all(a != b for a, b in zip(*views))
 

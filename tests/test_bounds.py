@@ -13,8 +13,6 @@ from cachepir import (
     asymptotic_outer,
     binom,
     collinearity_check,
-    corner_cost,
-    corner_download_total,
     corner_message_length,
     corner_point,
     corner_points,
@@ -88,7 +86,7 @@ def test_corner_length_golden(k, n, s, length):
     [(3, 2, 1, 8), (3, 2, 2, 2), (4, 3, 3, 3), (4, 2, 0, 30)],
 )
 def test_corner_download_golden(k, n, s, total):
-    assert corner_download_total(Params(k, n), s) == total
+    assert corner_point(Params(k, n), s).total_download == total
 
 
 @pytest.mark.parametrize(
@@ -105,7 +103,7 @@ def test_corner_download_golden(k, n, s, total):
     ],
 )
 def test_corner_cost_golden(k, n, s, cost):
-    assert corner_cost(Params(k, n), s) == cost
+    assert corner_point(Params(k, n), s).cost == cost
 
 
 def test_corner_cost_times_length_is_download():
@@ -113,9 +111,8 @@ def test_corner_cost_times_length_is_download():
         for n in range(2, 7):
             p = Params(k, n)
             for s in range(k):
-                assert corner_cost(p, s) * corner_message_length(
-                    p, s
-                ) == corner_download_total(p, s)
+                corner = corner_point(p, s)
+                assert corner.cost * corner.msg_len == corner.total_download
 
 
 def test_corner_ratio_strictly_increasing():
@@ -150,7 +147,7 @@ def test_corner_point_and_sequence():
 
 def test_corner_s_range_errors():
     p = Params(4, 2)
-    for fn in (corner_ratio, corner_message_length, corner_download_total, corner_cost):
+    for fn in (corner_point, corner_ratio, corner_message_length):
         with pytest.raises(ValueError):
             fn(p, -1)
         with pytest.raises(ValueError):
@@ -176,7 +173,7 @@ def test_no_cache_corner_is_classic_cost():
         for n in range(2, 6):
             p = Params(k, n)
             classic = sum(F(1, n**j) for j in range(k))
-            assert corner_cost(p, 0) == classic
+            assert corner_point(p, 0).cost == classic
             assert known_prefetch_cost(p, 0) == classic
 
 
@@ -379,7 +376,7 @@ def test_gap_zero_on_matching_regions():
 def test_collinearity_examples():
     # the fresh corner at k+1 messages lands on the chord of the k-message curve
     assert corner_ratio(Params(5, 2), 1) == F(1, 31)
-    assert corner_cost(Params(5, 2), 1) == F(52, 31)
+    assert corner_point(Params(5, 2), 1).cost == F(52, 31)
     assert collinearity_check(Params(4, 2), 1)
     assert collinearity_check(Params(3, 2), 2)
     assert collinearity_check(Params(5, 3), 3)
@@ -457,6 +454,27 @@ def test_gap_at_most_one_sixth_at_finite_k():
     assert F(13999, 10**5) < worst[30, 2] < F(14, 100)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_finite_k_gap_argmax_over_inner_corners(n):
+    # The gap peaks at an inner corner (it is convex on each inner segment).
+    # At n = 2 its one argmax settles at worst_case_gap's 1/15 from k = 11 on,
+    # with k = 9 an early case (gap 442/4545); from n = 3 on it is
+    # 1/(1 + n + n²) at every k >= 4.  At k = 3 the bounds match everywhere.
+    for k in range(3, 61):
+        p = Params(k, n)
+        gaps = {inner_corner(p, i): gap(p, inner_corner(p, i)) for i in range(1, k)}
+        worst = max(gaps.values())
+        argmax = [r for r, value in gaps.items() if value == worst]
+        if k == 3:
+            assert worst == 0
+        elif n == 2:
+            assert argmax == [F(1, 15) if k == 9 or k >= 11 else F(1, 7)], k
+        else:
+            assert argmax == [F(1, 1 + n + n * n)], k
+    if n == 2:
+        assert gap(Params(9, 2), F(1, 15)) == F(442, 4545)
+
+
 def test_worst_case_gap_decreasing_in_n():
     deltas = [worst_case_gap(n)[1] for n in range(2, 7)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
@@ -479,7 +497,8 @@ def test_asymptotic_tightness_large_k():
         for lam in (0.7, 0.9):
             s = int(lam * 500)
             p = Params(500, n)
-            diff = abs(corner_cost(p, s) - asymptotic_outer(n, corner_ratio(p, s)))
+            corner = corner_point(p, s)
+            diff = abs(corner.cost - asymptotic_outer(n, corner.ratio))
             assert diff < F(1, 1000)
 
 

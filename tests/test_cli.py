@@ -21,7 +21,7 @@ from cachepir import (
     retrieve,
     verify_cost,
 )
-from cachepir import bounds, cli, protocol
+from cachepir import audit, bounds, cli, protocol
 from cachepir.cli import (
     CURVE_HEADER,
     decimal_str,
@@ -175,6 +175,18 @@ def test_curve_unwritable_path(capsys):
     assert "i/o error" in err
 
 
+# The bytes `simulate --k 3 --n 2 --s 1 --theta 0 --seed 42 --out` writes: one
+# compact JSON line and a newline.
+SEED_42_FILE = (
+    b'{"format":2,"k":3,"n":2,"theta":0,"r":"1/7","seed":42,"length":7,'
+    b'"blocks":[[1,1]],"per_db":[[[9,18],[5,8,17],[4,19],[6,13]],'
+    b'[[0,19],[3,9,18],[8,17],[1,13]]],"answers":[[1,0,0,1],[1,1,0,0]],'
+    b'"decoded":[1,0,0,0,0,0,1],"cache":{"indices":[[2],[6],[5]],'
+    b'"values":[[0],[0],[0]]},"messages":["41","31","54"],'
+    b'"per_db_downloads":[4,4],"total_downloads":8,"cost":"8/7"}\n'
+)
+
+
 def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     out = tmp_path / "transcript.json"
     code, text, _ = run(
@@ -186,10 +198,40 @@ def test_simulate_golden_and_transcript_roundtrip(tmp_path, capsys):
     assert "cost = 8/7" in text
     assert "decode exact:        pass" in text
     assert "decodability rank" not in text
+    assert out.read_bytes() == SEED_42_FILE
     t = load_transcript(str(out))
     assert decode(t.plan, t.answers, t.cache) == t.decoded
     assert verify_cost(t)
     assert t.cost == F(8, 7)
+
+
+def test_simulate_decodes_once(monkeypatch, capsys):
+    # "decode exact" reads what retrieve decoded; a second decode would
+    # recompute it (at L = 800 000 about 2.4 s)
+    calls = []
+    real = protocol.decode
+    for module in (protocol, audit):  # every module that binds decode
+        monkeypatch.setattr(module, "decode", lambda *a: calls.append(a) or real(*a))
+    code, text, _ = run(
+        ["simulate", "--k", "4", "--n", "2", "--r", "1/50", "--theta", "1", "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert "decode exact:        pass" in text
+    assert len(calls) == 1
+
+
+def test_simulate_reports_a_wrong_decode(monkeypatch, capsys):
+    real = protocol.decode
+    monkeypatch.setattr(
+        protocol, "decode", lambda *args: bytes(1 - b for b in real(*args))
+    )
+    code, text, _ = run(
+        ["simulate", "--k", "3", "--n", "2", "--s", "1", "--theta", "0", "--seed", "42"],
+        capsys,
+    )
+    assert code == 1
+    assert "decode exact:        FAIL" in text
 
 
 def file_dict(t):
@@ -631,6 +673,23 @@ def test_readme_refused_examples_are_refused(argv, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
+    assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
+
+
+@pytest.mark.parametrize(
+    "command,flag,n,edge",
+    [("bounds", "--k", 2, 1471), ("gap", "--kmax", 2, 1343), ("bounds", "--k", 4, 1162)],
+    ids=["bounds-n2", "gap-n2", "bounds-n4"],
+)
+def test_budget_edge_sizes_n_by_ceil_log2(command, flag, n, edge, monkeypatch, capsys):
+    # n^k has k·⌈log2 n⌉ bits: at n = 2 and 4 the edge is k = 1471 and 1162,
+    # as at n = 3, not the 1162 and 1020 that bit_length(n) gave
+    patch_out_arithmetic(monkeypatch)
+    argv = [command, "--n", str(n), flag]
+    with pytest.raises(AssertionError, match="arithmetic started"):
+        run(argv + [str(edge)], capsys)
+    code, _, err = run(argv + [str(edge + 1)], capsys)
+    assert code == 2
     assert f"over the budget of {cli.MAX_EXACT_WORK}" in err
 
 

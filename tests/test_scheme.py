@@ -19,8 +19,6 @@ from cachepir import (
     binom,
     build_corner_plan,
     compose_plans,
-    corner_cost,
-    corner_download_total,
     corner_equations,
     corner_message_length,
     corner_point,
@@ -91,7 +89,7 @@ def test_round_profile_totals_sweep():
             p = Params(k, n)
             for s in range(k):
                 rp = round_profile(p, s)
-                assert rp.total_downloads == corner_download_total(p, s)
+                assert rp.total_downloads == corner_point(p, s).total_download
                 assert rp.desired_downloads == corner_message_length(p, s) - binom(
                     k - 2, s - 1
                 )
@@ -153,7 +151,7 @@ def test_plan_counts_match_profile():
                 rp = round_profile(p, s)
                 for theta in (0, k - 1):
                     plan = make_plan(k, n, s, theta=theta, seed=3)
-                    per_db = corner_download_total(p, s) // n
+                    per_db = corner_point(p, s).total_download // n
                     assert plan.downloads_per_db == (per_db,) * n
                     # per-size totals equal desired+undesired of the round with that size
                     for eqs in plan.per_db:
@@ -406,7 +404,7 @@ def test_split_finds_corner_by_bisection(k, monkeypatch):
     # ratios, in bounds, so that is where the corners it evaluates are counted.
     p = Params(k, 2)
     ratios = [corner_ratio(p, s) for s in range(k)] + [F(1)]
-    costs = [corner_cost(p, s) for s in range(k)] + [F(0)]
+    costs = [corner_point(p, s).cost for s in range(k)] + [F(0)]
     calls = []
     real = bounds.corner_point
     monkeypatch.setattr(
