@@ -49,7 +49,7 @@ The distributional audits, library-only and kept for the benchmark and
 their tests, draw the corner randomness (one permutation per message that
 relabels the corner layout) and certify every draw, over all draws (tiny
 instances only) or seeded samples.  Each desired index's layout is
-compiled once by `scheme.relabel` into one gather per database, so a draw
+compiled once by `_relabel` into one gather per database, so a draw
 is relabeled by k `map`s and one gather per database and goes to the same
 core; its equations are built only for a mutation hook, and only the first
 failing draw is explained, since a report shows that one alone.  A draw
@@ -58,23 +58,25 @@ they reach the verdict of the certificate on one shipped plan, which is
 what `cachepir audit` runs for every desired index.
 
 Mutation operators provide negative controls: an audit that cannot fail is
-worthless.  Note that `sort_queries` (the skipped-shuffle stand-in) does NOT
-fail the certificate on purpose: query order is the one thing a single plan
-cannot show, and the premise above, not the check, covers it.
+worthless.  `sort_queries` is not one: a sorted list depends only on the
+query multiset, so it leaks nothing and passes.  The leak of a skipped
+shuffle is the built order, desired sums first, which no check on one plan
+sees: the premise above covers it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product, repeat
-from operator import floordiv, setitem
+from itertools import accumulate, chain, combinations, permutations, product, repeat
+from operator import add, floordiv, itemgetter
 
-from .bounds import CornerPoint, Params, _check_range, corner_point, outer_bound
+from .bounds import CornerPoint, Params, _check_range, outer_bound
 from .protocol import DecodeError, Transcript, _budgeted_corner, decode
 from .rng import derive_rng, sample
-from .scheme import QueryPlan, _flatten, corner_equations, relabel, round_profile
+from .scheme import BitRef, Equation, QueryPlan, corner_equations, round_profile
 
 __all__ = [
     "PrivacyReport",
@@ -176,12 +178,81 @@ def _predicted_supports(p: Params, blocks) -> Counter:
     return census
 
 
-# A set of a database's references is the fastest test of (i) on a draw's
-# few dozen, but it takes 16-64 bytes a reference: 2 MiB for the 36 000 of
-# one database of the (4, 2) plan at L = 17 992, where marking one byte per
-# bit of the k messages takes 70 KiB.  Past this many references the bytes
-# are used.
-_SET_REFS = 1 << 12
+def _flatten(eqs) -> tuple[list[BitRef], Iterator[slice]]:
+    """One query list as its references in order and, lazily, each equation's
+    slice of them.  `eqs` is read three times, so it must be a sequence."""
+    return list(chain.from_iterable(eqs)), map(
+        slice, accumulate(map(len, eqs), initial=0), accumulate(map(len, eqs))
+    )
+
+
+def _gather(refs: tuple[BitRef, ...]) -> Callable[[list], tuple]:
+    """names -> the tuple of names[x] for x in refs, in one C call where it can.
+
+    `itemgetter` returns a bare item for one index and takes no empty list.
+    """
+    if len(refs) > 1:
+        return itemgetter(*refs)
+    return lambda names: tuple(map(names.__getitem__, refs))
+
+
+@dataclass(frozen=True, slots=True)
+class _Relabeling:
+    """A layout compiled once for renaming under many draws.
+
+    Per database, one gather over the layout's flat references, and each
+    equation's slice of them.  A draw, one permutation per message of the
+    layout's common size, is applied by k `map`s that build its naming
+    table and one gather per database; nothing is done per equation unless
+    `equations` asks for the tuples.
+    """
+
+    gathers: tuple[Callable[[list], tuple], ...]
+    spans: tuple[list[slice], ...]
+
+    def refs(self, perms, length: int) -> list[tuple[BitRef, ...]]:
+        """Per database, its renamed references in layout order.
+
+        Bit j of message m becomes m·length + perms[m][j]: the layout's
+        stride is the permutations' common size, so its bit x is bit
+        x % size of message x // size.
+        """
+        names = []
+        for m, perm in enumerate(perms):
+            names += map(add, repeat(m * length), perm)
+        return [gather(names) for gather in self.gathers]
+
+    def equations(self, perms, length: int) -> tuple[tuple[Equation, ...], ...]:
+        """Per database, its renamed equations: tuples sliced from `refs`.
+
+        Each message keeps its range, so each equation stays sorted.
+        """
+        return tuple([  # each tuple of a list: see _relabel
+            tuple(list(map(refs.__getitem__, spans)))
+            for refs, spans in zip(self.refs(perms, length), self.spans)
+        ])
+
+
+def _relabel(per_db) -> _Relabeling:
+    """Compile a layout, per database a sequence of equations, for renaming.
+
+    The distributional audits' renamer: compile once, then apply
+    `_Relabeling.refs` or `_Relabeling.equations` per draw; every audit draw
+    is its corner layout under one of these.  Equations come out as slices
+    of a tuple, which is allocated at its final size, as `tuple()` of a
+    list is.  A tuple built from a generator is resized instead, bypassing
+    CPython's per-size tuple free list, yet joins that list when it dies,
+    so the list fills to its cap and holds the memory (0.25 MiB in an audit
+    that renames a layout per draw).
+    """
+    gathers, spans = [], []
+    for eqs in per_db:
+        refs, slices = _flatten(eqs)
+        gathers.append(_gather(tuple(refs)))
+        slices = list(slices)
+        # a corner's databases list equations of the same lengths: one list serves
+        spans.append(spans[-1] if spans and spans[-1] == slices else slices)
+    return _Relabeling(gathers=tuple(gathers), spans=tuple(spans))
 
 
 def _failing(views, predicted: Counter, k: int, length: int) -> list:
@@ -197,20 +268,21 @@ def _failing(views, predicted: Counter, k: int, length: int) -> list:
 
 def _breaks(view, predicted: Counter, k: int, length: int) -> bool:
     """Check (ii) as a census of the slices of the references' messages
-    x // length, then check (i) as the number of distinct references.
+    x // length, then check (i) by marking one byte per bit of the k
+    messages (70 KiB at (4, 2), L = 17 992, where a set of one database's
+    references took 2 MiB): distinct references mark as many bytes.
 
     A reference outside range(k·length) names a message outside range(k),
     which no predicted subset holds, so once the census passes every
     reference is in range and can mark its byte.
     """
     refs, spans = view
-    supports = tuple(list(map(floordiv, refs, repeat(length))))  # see scheme.relabel
+    supports = tuple(list(map(floordiv, refs, repeat(length))))  # see _relabel
     if Counter(map(supports.__getitem__, spans)).items() != predicted.items():
         return True
-    if len(refs) <= _SET_REFS:
-        return len(set(refs)) != len(refs)
     seen = bytearray(k * length)
-    any(map(setitem, repeat(seen), refs, repeat(1)))
+    for x in refs:
+        seen[x] = 1
     return seen.count(1) != len(refs)
 
 
@@ -290,7 +362,7 @@ def _draw_distance(p: Params, corner: CornerPoint, draws, mutation=None) -> tupl
     worst = [Fraction(0)] * p.n
     first = ""
     for theta in range(p.k):
-        rename = relabel(corner_equations(p, corner.s, theta))
+        rename = _relabel(corner_equations(p, corner.s, theta))
         total = 0
         misses = [0] * p.n
         for perms in draws(theta):
@@ -316,7 +388,10 @@ def _draw_distance(p: Params, corner: CornerPoint, draws, mutation=None) -> tupl
     return tuple(worst), first
 
 
-MAX_OUTCOMES = 10**7
+# The exact walk certifies k·L(s)!^k draws, one permutation per message
+# for each desired index, at 8-18 µs a draw (Python 3.11 on a shared
+# 2-vCPU machine, (2, 2, 1) through (6, 2, 5)): this many take about 2 s.
+MAX_EXACT_DRAWS = 150_000
 
 
 def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
@@ -327,22 +402,22 @@ def enumerate_privacy(p: Params, s: int) -> PrivacyReport:
     draw passes the certificate.  A draw only relabels bits within each
     message, which the certificate cannot see, so that is the expected
     outcome; this walk is the brute-force evidence for the argument on tiny
-    instances.  Query shuffles are counted in the size guard but not
-    iterated: the certificate is order-invariant.  The guard multiplies
-    the count L(s)!^k · (D/n)!^n up one factor at a time and refuses the
-    instance, with ValueError, as soon as it passes MAX_OUTCOMES.
+    instances.  Query shuffles are not walked: the certificate is
+    order-invariant.  The guard multiplies the k·L(s)!^k draws up one
+    factor at a time and refuses the instance, with ValueError, as soon as
+    they pass MAX_EXACT_DRAWS, before any layout is built (and a corner
+    over the simulation budget before its corner arithmetic).
     """
-    corner = corner_point(p, s)
+    corner = _budgeted_corner(p, s)
     length = corner.msg_len
-    outcomes = 1
-    for top, times in ((length, p.k), (corner.total_download // p.n, p.n)):
-        for factor in chain.from_iterable(repeat(range(2, top + 1), times)):
-            outcomes *= factor
-            if outcomes > MAX_OUTCOMES:
-                raise ValueError(
-                    f"instance too large for exact enumeration: more than the "
-                    f"{MAX_OUTCOMES} outcomes its guard allows"
-                )
+    draws = p.k
+    for factor in chain.from_iterable(repeat(range(2, length + 1), p.k)):
+        draws *= factor
+        if draws > MAX_EXACT_DRAWS:
+            raise ValueError(
+                f"instance too large for exact enumeration: more than the "
+                f"{MAX_EXACT_DRAWS} outcomes (walked draws) its guard allows"
+            )
     per_db, detail = _draw_distance(
         p, corner, lambda _: product(permutations(range(length)), repeat=p.k)
     )
@@ -408,7 +483,7 @@ def skip_message_symmetry(plan: QueryPlan) -> QueryPlan:
     desired index apart completely.
     """
     desired = _is_desired(plan)
-    per_db = tuple([  # each tuple of a list: see scheme.relabel
+    per_db = tuple([  # each tuple of a list: see _relabel
         tuple([eq for eq in eqs if any(map(desired, eq))]) for eqs in plan.per_db
     ])
     return replace(plan, per_db=per_db)
@@ -459,9 +534,11 @@ def bias_mixture_assignment(plan: QueryPlan) -> QueryPlan:
 
 
 def sort_queries(plan: QueryPlan) -> QueryPlan:
-    """Order-normalized plan, standing in for a skipped final shuffle.
+    """The plan with each database's queries in sorted order.
 
-    Passes structural_symmetry by design (the certificate ignores order); it
-    exists to document that boundary of a check on one plan.
+    Not a negative control: a sorted list depends only on the multiset of
+    queries, so it leaks nothing, and it passes structural_symmetry.  It
+    shows that the certificate ignores order; the leak of a skipped shuffle
+    is the built order, which puts the desired sums first.
     """
     return replace(plan, per_db=tuple(tuple(sorted(eqs)) for eqs in plan.per_db))

@@ -123,7 +123,7 @@ def _equations(data: dict):
             f"only format {TRANSCRIPT_FORMAT} is read"
         )
     return tuple(
-        tuple([tuple(eq) if type(eq) is list else eq for eq in eqs])  # see scheme.relabel
+        tuple([tuple(eq) if type(eq) is list else eq for eq in eqs])  # see audit._relabel
         for eqs in data["per_db"]
     )
 
@@ -159,7 +159,7 @@ def transcript_from_dict(data: dict) -> Transcript:
     give, and every transcript `check_transcript` refuses (length, blocks
     or cache against the ratio, cached values, answers or decoded bits
     against the recorded messages, and equations that `protocol.answer`
-    refuses as not `scheme.is_canonical`; none is re-sorted) raise
+    refuses under `scheme.first_non_canonical`; none is re-sorted) raise
     ValueError.
     """
     try:

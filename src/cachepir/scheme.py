@@ -12,7 +12,8 @@ desired bit, and re-symmetrizes with fresh undesired sums.  In the layout,
 each message's first bits, as many as the corner's `cached` count, are its
 cached ones, in mixture order, and the rest its uncached ones, in
 consumption order; a plan renames them by a uniform permutation per
-message (`relabel`) and finally shuffles each database's query list.
+message, dealt by `draw_plan`, and finally shuffles each database's query
+list.
 
 An equation is held in one canonical form everywhere: a tuple of int bit
 references x = m·length + j, bit j of message m, where `length` is the
@@ -20,14 +21,13 @@ plan's message length, sorted increasingly.  No sum touches a message twice,
 so the messages x // length strictly increase as well, and two equations
 over the same bits are equal tuples.  Renaming keeps every message range, so
 relabeled equations stay sorted.  `first_non_canonical` states this rule
-for a whole query list and `is_canonical` for one equation;
-`protocol.answer` and the transcript loader, where equations enter from
-outside the builder, refuse any other form.  An int reference hashes and
-compares without unpacking a pair: the composed (4, 2) plan at L = 16 000
-holds 3.0 MiB as int tuples where it held 5.2 MiB as tuples of shared
-(m, j) pairs and 9.7 MiB as frozensets.  A tuple of ints also leaves the
-cyclic garbage collector after one pass, so a live plan is not walked on
-every collection.
+for a query list (one equation is a list of one); `protocol.answer` and the
+transcript loader, where equations enter from outside the builder, refuse
+any other form.  An int reference hashes and compares without unpacking a
+pair: the composed (4, 2) plan at L = 16 000 holds 3.0 MiB as int tuples
+where it held 5.2 MiB as tuples of shared (m, j) pairs and 9.7 MiB as
+frozensets.  A tuple of ints also leaves the cyclic garbage collector after
+one pass, so a live plan is not walked on every collection.
 
 Every rational caching ratio is served by memory-sharing: the message is
 split into blocks, each a relabeled copy of one of the two corner layouts
@@ -49,12 +49,10 @@ wanted, by the shape of the interface.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, count, filterfalse, repeat
+from itertools import chain, combinations, count, filterfalse
 from math import lcm
-from operator import add, itemgetter
 
 from .bounds import (
     CornerPoint,
@@ -77,7 +75,6 @@ __all__ = [
     "BitRef",
     "Equation",
     "first_non_canonical",
-    "is_canonical",
     "ContractViolation",
     "RoundCounts",
     "RoundProfile",
@@ -85,7 +82,6 @@ __all__ = [
     "SplitSpec",
     "round_profile",
     "corner_equations",
-    "relabel",
     "build_corner_plan",
     "split_for_ratio",
     "PlanDraw",
@@ -119,11 +115,6 @@ def first_non_canonical(equations, k: int, length: int) -> int | None:
                 return i
             previous = m
     return None
-
-
-def is_canonical(eq, k: int, length: int) -> bool:
-    """True when the one equation `eq` is canonical (see `first_non_canonical`)."""
-    return first_non_canonical((eq,), k, length) is None
 
 
 @dataclass(frozen=True)
@@ -215,9 +206,9 @@ def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
     Message m's cached bits are 0..c-1, c the corner's `cached` count,
     consumed in mixture order, and its uncached bits c..L(s)-1, consumed in
     order; bit j of message m is the int m·L(s) + j.  A block or an audit
-    draw is this layout under `relabel`.  The returned lists are in
-    generation order (round by round, desired sums before undesired ones);
-    privacy additionally requires shuffling them.
+    draw is this layout renamed within each message.  The returned lists
+    are in generation order (round by round, desired sums before undesired
+    ones); privacy additionally requires shuffling them.
     """
     corner = corner_point(p, s)
     _check_theta(p.k, theta)
@@ -279,83 +270,6 @@ def corner_equations(p: Params, s: int, theta: int) -> list[list[Equation]]:
     expected = corner.total_download // p.n
     assert all(len(eqs) == expected for eqs in per_db)
     return per_db
-
-
-def _flatten(eqs) -> tuple[list[BitRef], Iterator[slice]]:
-    """One query list as its references in order and, lazily, each equation's
-    slice of them.  `eqs` is read three times, so it must be a sequence."""
-    return list(chain.from_iterable(eqs)), map(
-        slice, accumulate(map(len, eqs), initial=0), accumulate(map(len, eqs))
-    )
-
-
-def _gather(refs: tuple[BitRef, ...]) -> Callable[[list], tuple]:
-    """names -> the tuple of names[x] for x in refs, in one C call where it can.
-
-    `itemgetter` returns a bare item for one index and takes no empty list.
-    """
-    if len(refs) > 1:
-        return itemgetter(*refs)
-    return lambda names: tuple(map(names.__getitem__, refs))
-
-
-@dataclass(frozen=True, slots=True)
-class Relabeling:
-    """A layout compiled once for renaming under many draws.
-
-    Per database, one gather over the layout's flat references, and each
-    equation's slice of them.  A draw, one permutation per message of the
-    layout's common size, is applied by k `map`s that build its naming
-    table and one gather per database; nothing is done per equation unless
-    `equations` asks for the tuples.
-    """
-
-    gathers: tuple[Callable[[list], tuple], ...]
-    spans: tuple[list[slice], ...]
-
-    def refs(self, perms, length: int) -> list[tuple[BitRef, ...]]:
-        """Per database, its renamed references in layout order.
-
-        Bit j of message m becomes m·length + perms[m][j]: the layout's
-        stride is the permutations' common size, so its bit x is bit
-        x % size of message x // size.
-        """
-        names = []
-        for m, perm in enumerate(perms):
-            names += map(add, repeat(m * length), perm)
-        return [gather(names) for gather in self.gathers]
-
-    def equations(self, perms, length: int) -> tuple[tuple[Equation, ...], ...]:
-        """Per database, its renamed equations: tuples sliced from `refs`.
-
-        Each message keeps its range, so each equation stays sorted.
-        """
-        return tuple([  # each tuple of a list: see relabel
-            tuple(list(map(refs.__getitem__, spans)))
-            for refs, spans in zip(self.refs(perms, length), self.spans)
-        ])
-
-
-def relabel(per_db) -> Relabeling:
-    """Compile a layout, per database a sequence of equations, for renaming.
-
-    The one renaming code: compile once, then apply `Relabeling.refs` or
-    `Relabeling.equations` per draw; every audit draw is its corner layout
-    under one of these.  Equations come out as slices of a tuple, which is
-    allocated at its final size, as `tuple()` of a list is.  A tuple built
-    from a generator is resized instead, bypassing CPython's per-size tuple
-    free list, yet joins that list when it dies, so the list fills to its
-    cap and holds the memory (0.25 MiB in an audit that renames a layout
-    per draw).
-    """
-    gathers, spans = [], []
-    for eqs in per_db:
-        refs, slices = _flatten(eqs)
-        gathers.append(_gather(tuple(refs)))
-        slices = list(slices)
-        # a corner's databases list equations of the same lengths: one list serves
-        spans.append(spans[-1] if spans and spans[-1] == slices else slices)
-    return Relabeling(gathers=tuple(gathers), spans=tuple(spans))
 
 
 def build_corner_plan(p: Params, s: int, theta: int, cache, seed) -> QueryPlan:
@@ -482,8 +396,9 @@ def compose_plans(p: Params, theta: int, drawn: PlanDraw) -> QueryPlan:
     blocks, one strided slice of one run: a column.  Each dealt bit that an
     equation reads is named m·L + j once, in its column, and each layout
     equation becomes all its relabeled copies in one `zip` over its bits'
-    columns; the copies go back in block order, so the plan equals
-    `relabel` applied block by block.  Bits no equation reads (the full
+    columns; the copies go back in block order, so the plan equals the
+    layout renamed block by block, each block by its own slice of the
+    dealt runs.  Bits no equation reads (the full
     cache's blocks, which come last, and the uncached undesired bits a
     last-corner block never downloads) are never named.  Each database's
     list ships in the drawn order.  A ratio hitting a corner is the

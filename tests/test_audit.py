@@ -27,7 +27,6 @@ from cachepir import (
     enumerate_privacy,
     montecarlo_privacy,
     plan_signature,
-    relabel,
     retrieve,
     skip_message_symmetry,
     sort_queries,
@@ -37,7 +36,7 @@ from cachepir import (
     verify_decodability,
 )
 from cachepir import audit, bounds, protocol
-from cachepir.audit import _corner_plan, _draw_distance
+from cachepir.audit import _corner_plan, _draw_distance, _relabel
 from cachepir.rng import derive_rng
 
 
@@ -360,7 +359,7 @@ def test_structural_symmetry_mutants():
     assert structural_symmetry(doubled(t.plan)).distance == 1
     report = structural_symmetry(reused_bit(t.plan))
     assert not report.passed and report.per_db == (1, 0)
-    # ordering is not part of the census: the unshuffled plan still passes
+    # ordering is not part of the census: the sorted plan still passes
     assert structural_symmetry(sort_queries(t.plan)).passed
 
 
@@ -396,6 +395,17 @@ def test_certificate_names_reference_out_of_range(x):
     report = structural_symmetry(plan)
     assert report.per_db == (1, 0)
     assert report.detail == f"db 0: reference {x} lies outside range(21)"
+
+
+def test_repeated_bit_fails_a_large_view():
+    # Check (i) on a view of more than 4 096 references (the 16 of
+    # `test_structural_symmetry_mutants` are the small case); the reused bit
+    # leaves every support as it was.
+    t = retrieve(Params(4, 2), 0, F(1, 200), 1)
+    assert sum(map(len, t.plan.per_db[0])) == 6368
+    report = structural_symmetry(reused_bit(t.plan))
+    assert report.per_db == (1, 0)
+    assert report.detail.startswith("db 0: bit ")
 
 
 def test_structural_symmetry_memory_stays_small():
@@ -439,6 +449,33 @@ def test_enumerate_privacy_refuses_large():
         enumerate_privacy(Params(3, 2), 1)
 
 
+# Every (k, n, s) with k, n <= 6 whose k·L(s)!^k walked draws fit
+# MAX_EXACT_DRAWS: 41 472 at (3, 3, 2) at most.  The next is (6, 2, 5), with
+# 279 936 draws, which took 2.9 s.
+ADMITTED_EXACT = {
+    (2, 2, 0), (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 2, 2), (3, 3, 2), (4, 2, 3), (5, 2, 4)
+}
+
+
+def test_enumerate_privacy_guard_counts_walked_draws(monkeypatch):
+    # The walk is replaced: the guard alone decides, before any layout.
+    def walk(p, corner, draws):
+        return (F(0),) * p.n, ""
+
+    monkeypatch.setattr(audit, "_draw_distance", walk)
+    admitted = set()
+    for k in range(2, 7):
+        for n in range(2, 7):
+            for s in range(k):
+                try:
+                    enumerate_privacy(Params(k, n), s)
+                except ValueError as refusal:
+                    assert "outcomes" in str(refusal)
+                else:
+                    admitted.add((k, n, s))
+    assert admitted == ADMITTED_EXACT
+
+
 def ordered_views(k, n, s, theta, orders):
     """Per database, the Counter of ordered query tuples over every draw.
 
@@ -470,10 +507,23 @@ def test_ordered_views_equal_across_desired_indices(k, n, s):
 
 def test_unshuffled_views_tell_the_desired_index():
     # Negative control: shipped in built order, the desired sums come first,
-    # which the order-blind certificate cannot see (`sort_queries`).
+    # which the order-blind certificate cannot see.
     identity = [tuple(range(corner_point(Params(2, 2), 0).total_download // 2))]
     views = [ordered_views(2, 2, 0, theta, identity) for theta in range(2)]
     assert all(a != b for a, b in zip(*views))
+
+
+def test_sorted_views_equal_across_desired_indices():
+    # The same built-order views, sorted as `sort_queries` sorts them, are
+    # the same for every desired index: a sorted list leaks nothing.
+    identity = [tuple(range(corner_point(Params(2, 2), 0).total_download // 2))]
+    views = []
+    for theta in range(2):
+        views.append([Counter() for _ in range(2)])
+        for db, view in enumerate(ordered_views(2, 2, 0, theta, identity)):
+            for eqs, times in view.items():
+                views[-1][db][tuple(sorted(eqs))] += times
+    assert views[0] == views[1]
 
 
 def test_enumeration_catches_leak():
@@ -546,7 +596,7 @@ def test_montecarlo_draw_matches_shipped_supports(k, n, s):
             p,
             corner_point(p, s),
             theta,
-            relabel(corner_equations(p, s, theta)).equations(perms, length),
+            _relabel(corner_equations(p, s, theta)).equations(perms, length),
         )
         for got, want in zip(draw.per_db, shipped.per_db):
             assert Counter(tuple(x // length for x in eq) for eq in got) == Counter(
@@ -595,10 +645,12 @@ def test_montecarlo_large_k_refused_before_corner_arithmetic(monkeypatch):
     def no_corner_arithmetic(*_):
         raise AssertionError("corner arithmetic started")
 
-    for module in (bounds, protocol, audit):
+    for module in (bounds, protocol):
         monkeypatch.setattr(module, "corner_point", no_corner_arithmetic)
     with pytest.raises(ValueError, match="simulation budget"):
         montecarlo_privacy(Params(30_000, 2), 1, 1000, 1)
+    with pytest.raises(ValueError, match="simulation budget"):  # and the exact audit
+        enumerate_privacy(Params(30_000, 2), 1)
 
 
 def test_montecarlo_mutant_fails():

@@ -25,15 +25,14 @@ from cachepir import (
     corner_ratio,
     draw_plan,
     first_non_canonical,
-    is_canonical,
     outer_bound,
     prefetch,
     random_store,
-    relabel,
     retrieve,
     round_profile,
     split_for_ratio,
 )
+from cachepir.audit import _relabel
 from cachepir.cli import transcript_from_dict, transcript_to_dict
 
 
@@ -470,8 +469,8 @@ def test_one_draw_assembles_every_retrieved_plan(k, n, r, monkeypatch):
 
 
 def compose_block_by_block(p, theta, drawn):
-    """Reference assembly: each block is the layout, compiled once by
-    `relabel`, renamed by that block's own permutations.
+    """Reference assembly: each block is the layout, compiled once by the
+    audits' renamer `_relabel`, renamed by that block's own permutations.
 
     A block takes its corner's quota from the head of each message's cached
     run and its uncached bits from the head of the uncached run.
@@ -485,7 +484,7 @@ def compose_block_by_block(p, theta, drawn):
             break
         length = corner_message_length(p, corner)
         quota = binom(p.k - 2, corner - 1)
-        rename = relabel(corner_equations(p, corner, theta))
+        rename = _relabel(corner_equations(p, corner, theta))
         for _ in range(size):
             perms = [
                 [*islice(held, quota), *islice(rest, length - quota)] for held, rest in runs
@@ -582,7 +581,7 @@ def test_equations_are_sorted_tuples(k, n, r):
     length = corner.msg_len
     perms = [list(reversed(range(length))) for _ in range(k)]
     assert_canonical(layout, k, length)
-    rename = relabel(layout)
+    rename = _relabel(layout)
     assert_canonical(rename.equations(perms, length), k, length)
     # onto a longer message, as a block of a composed plan is
     assert_canonical(rename.equations(perms, 3 * length), k, 3 * length)
@@ -602,14 +601,18 @@ NON_CANONICAL = {
 
 
 def test_is_canonical_flat_references():
+    # One equation is canonical when the list of it is.
+    def canonical(eq, k, length):
+        return first_non_canonical((eq,), k, length) is None
+
     k, length = 3, 7
     for eq in [(), (0,), (6, 7, 20), (3 * 7 - 1,)]:
-        assert is_canonical(eq, k, length), eq
+        assert canonical(eq, k, length), eq
     for name, eq in NON_CANONICAL.items():
-        assert not is_canonical(eq, k, length), name
-    assert not is_canonical([6, 7, 20], k, length)  # a list in place of a tuple
-    assert not is_canonical(frozenset({6, 7}), k, length)
-    assert not is_canonical((0,), k, 0)
+        assert not canonical(eq, k, length), name
+    assert not canonical([6, 7, 20], k, length)  # a list in place of a tuple
+    assert not canonical(frozenset({6, 7}), k, length)
+    assert not canonical((0,), k, 0)
 
 
 def test_first_non_canonical_names_the_first_offender():
